@@ -64,6 +64,8 @@ func (v *SpeakerVerifier) ModelDigests() (map[string]string, error) {
 		}
 		out["asv/isv"] = evidence.Digest(buf.Bytes())
 	}
+	v.usersMu.RLock()
+	defer v.usersMu.RUnlock()
 	for name, ver := range v.users {
 		buf.Reset()
 		if err := ver.Speaker.Save(&buf); err != nil {

@@ -52,6 +52,8 @@ func (v *SpeakerVerifier) Save(w io.Writer) error {
 		}
 		dto.ISV = append([]byte(nil), buf.Bytes()...)
 	}
+	v.usersMu.RLock()
+	defer v.usersMu.RUnlock()
 	for name, ver := range v.users {
 		buf.Reset()
 		if err := ver.Speaker.Save(&buf); err != nil {

@@ -49,6 +49,9 @@ type SpeakerVerifier struct {
 	// CalibrateThreshold.
 	Threshold float64 // unit: score
 
+	// usersMu guards users and isvUsers: the server enrolls while
+	// other requests verify.
+	usersMu  sync.RWMutex
 	users    map[string]*gmm.Verifier
 	isvUsers map[string]*gmm.ISVSpeaker
 
@@ -229,13 +232,17 @@ func (v *SpeakerVerifier) Enroll(user string, sessions [][]*audio.Signal) error 
 		if err != nil {
 			return fmt.Errorf("core: ISV enrollment for %q: %w", user, err)
 		}
+		v.usersMu.Lock()
 		v.isvUsers[user] = spk
+		v.usersMu.Unlock()
 	default:
 		ver, err := gmm.NewVerifier(v.ubm, all, v.relevance)
 		if err != nil {
 			return fmt.Errorf("core: GMM enrollment for %q: %w", user, err)
 		}
+		v.usersMu.Lock()
 		v.users[user] = ver
+		v.usersMu.Unlock()
 		if f := v.fast; f != nil {
 			// Re-enrollment produces a new model: drop the stale digest
 			// memo so the next score compiles the fresh one (the old
@@ -269,13 +276,17 @@ func (v *SpeakerVerifier) ScoreSpan(span *telemetry.Span, user string, utt *audi
 	defer sc.End()
 	switch v.backend {
 	case BackendISV:
+		v.usersMu.RLock()
 		spk, ok := v.isvUsers[user]
+		v.usersMu.RUnlock()
 		if !ok {
 			return 0, fmt.Errorf("%w: %q", ErrUnknownUser, user)
 		}
 		return spk.ScoreSpan(sc, frames)
 	default:
+		v.usersMu.RLock()
 		ver, ok := v.users[user]
+		v.usersMu.RUnlock()
 		if !ok {
 			return 0, fmt.Errorf("%w: %q", ErrUnknownUser, user)
 		}

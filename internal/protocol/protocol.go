@@ -111,23 +111,11 @@ func EncodeVoiceprint(req *VoiceprintRequest) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeVoiceprint ungzips and parses a voiceprint request.
+// DecodeVoiceprint ungzips and parses a voiceprint request in one pass.
 func DecodeVoiceprint(r io.Reader) (*VoiceprintRequest, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: opening gzip stream: %w", err)
-	}
-	defer zr.Close()
-	data, err := io.ReadAll(io.LimitReader(zr, MaxPayloadBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("protocol: reading voiceprint request: %w", err)
-	}
-	if len(data) > MaxPayloadBytes {
-		return nil, ErrTooLarge
-	}
 	var req VoiceprintRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, fmt.Errorf("protocol: parsing voiceprint request: %w", err)
+	if err := decodeBody(r, "voiceprint request", req.member); err != nil {
+		return nil, err
 	}
 	return &req, nil
 }
@@ -225,23 +213,11 @@ func EncodeEnroll(req *EnrollRequest) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeEnroll ungzips and parses an enrollment request.
+// DecodeEnroll ungzips and parses an enrollment request in one pass.
 func DecodeEnroll(r io.Reader) (*EnrollRequest, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: opening gzip stream: %w", err)
-	}
-	defer zr.Close()
-	data, err := io.ReadAll(io.LimitReader(zr, MaxPayloadBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("protocol: reading enrollment request: %w", err)
-	}
-	if len(data) > MaxPayloadBytes {
-		return nil, ErrTooLarge
-	}
 	var req EnrollRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, fmt.Errorf("protocol: parsing enrollment request: %w", err)
+	if err := decodeBody(r, "enrollment request", req.member); err != nil {
+		return nil, err
 	}
 	return &req, nil
 }
@@ -262,24 +238,13 @@ func EncodeRequest(req *VerifyRequest) ([]byte, error) {
 // ErrTooLarge is returned when a payload exceeds MaxPayloadBytes.
 var ErrTooLarge = errors.New("protocol: payload too large")
 
-// DecodeRequest ungzips and parses a request.
+// DecodeRequest ungzips and parses a request in one pass: the JSON is
+// decoded as it inflates (decode.go), capped at MaxPayloadBytes, and the
+// gzip trailer is checked before it returns.
 func DecodeRequest(r io.Reader) (*VerifyRequest, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: opening gzip stream: %w", err)
-	}
-	defer zr.Close()
-	limited := io.LimitReader(zr, MaxPayloadBytes+1)
-	data, err := io.ReadAll(limited)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: reading request: %w", err)
-	}
-	if len(data) > MaxPayloadBytes {
-		return nil, ErrTooLarge
-	}
 	var req VerifyRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, fmt.Errorf("protocol: parsing request: %w", err)
+	if err := decodeBody(r, "request", req.member); err != nil {
+		return nil, err
 	}
 	return &req, nil
 }

@@ -35,6 +35,11 @@ const (
 // after this long, independent of the whole-session verify timeout.
 const DefStreamFrameTimeout = 30 * time.Second
 
+// streamDrainLimit bounds how long a connection keeps reading the frames
+// a client still sends after its session was decided early; the drained
+// bytes are bounded by protocol.MaxPayloadBytes as well.
+const streamDrainLimit = 10 * time.Second
+
 // WithStreamFrameTimeout overrides the per-frame read deadline of the
 // streaming listener (default DefStreamFrameTimeout).
 func WithStreamFrameTimeout(d time.Duration) Option {
@@ -164,10 +169,15 @@ func (s *Server) shutdownStream(ctx context.Context) {
 	}
 }
 
-// readStreamFrame reads one frame under the per-frame deadline, counting
-// it toward the ingress metrics.
-func (s *Server) readStreamFrame(conn net.Conn) (stream.Frame, error) {
-	if err := conn.SetReadDeadline(time.Now().Add(s.streamFrameTimeout)); err != nil {
+// readStreamFrame reads one frame under the per-frame deadline, or
+// under limit when that is set and comes first, counting it toward the
+// ingress metrics.
+func (s *Server) readStreamFrame(conn net.Conn, limit time.Time) (stream.Frame, error) {
+	deadline := time.Now().Add(s.streamFrameTimeout)
+	if !limit.IsZero() && limit.Before(deadline) {
+		deadline = limit
+	}
+	if err := conn.SetReadDeadline(deadline); err != nil {
 		return stream.Frame{}, fmt.Errorf("server: arming frame deadline: %w", err)
 	}
 	f, err := stream.ReadFrame(conn, 0)
@@ -207,11 +217,9 @@ func (s *Server) sendStreamError(conn net.Conn, traceID string, status, retryAft
 }
 
 // handleStreamConn speaks one streaming verification session: handshake,
-// admission, incremental evaluation frame by frame, one decision or
-// error frame back. Outcome accounting mirrors handleVerify — every
-// session that completes the handshake lands in exactly one of
-// accepted/rejected/errored/deadlined/shed, so the Stats invariant holds
-// across both transports.
+// then streamSession, then the drain of frames still in flight after an
+// early decision, which runs after the session has given back its
+// admission slot.
 func (s *Server) handleStreamConn(conn net.Conn) {
 	if err := conn.SetDeadline(time.Now().Add(s.streamFrameTimeout)); err != nil {
 		return
@@ -227,6 +235,19 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 		return
 	}
 
+	if s.streamSession(conn) {
+		s.drainStream(conn)
+	}
+}
+
+// streamSession runs one session after the handshake: admission,
+// incremental evaluation frame by frame, one decision or error frame
+// back. It reports whether the session was decided before its finish
+// frame, leaving frames to drain. Outcome accounting mirrors
+// handleVerify — every session that completes the handshake lands in
+// exactly one of accepted/rejected/errored/deadlined/shed, so the Stats
+// invariant holds across both transports.
+func (s *Server) streamSession(conn net.Conn) (early bool) {
 	start := time.Now()
 	// The streaming session outlives any single read, so its context is
 	// rooted here and bounded by the verify timeout when configured.
@@ -249,7 +270,7 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 			s.logger.Warn("stream verify shed", "max_inflight", s.maxInflight)
 			s.sendStreamError(conn, "", http.StatusTooManyRequests, 1,
 				fmt.Sprintf("overloaded: %d verifications already in flight", s.maxInflight))
-			return
+			return false
 		}
 	}
 	s.verifyInflight.Add(1)
@@ -264,47 +285,47 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 
 	// The first frame must be the hello: it names the session before any
 	// evidence arrives.
-	first, err := s.readStreamFrame(conn)
+	first, err := s.readStreamFrame(conn, time.Time{})
 	if err != nil {
 		fail("", http.StatusBadRequest, fmt.Sprintf("reading hello frame: %v", err))
-		return
+		return false
 	}
 	if first.Type != stream.TypeHello {
 		fail("", http.StatusBadRequest, fmt.Sprintf("first frame is %v, want hello", first.Type))
-		return
+		return false
 	}
 	hello, err := stream.DecodeHello(first.Payload)
 	if err != nil {
 		fail("", http.StatusBadRequest, fmt.Sprintf("decoding hello: %v", err))
-		return
+		return false
 	}
 	verifier, err := s.system.NewStreamVerifier(hello.TraceID)
 	if err != nil {
 		fail(hello.TraceID, http.StatusInternalServerError, fmt.Sprintf("opening stream verification: %v", err))
-		return
+		return false
 	}
 	traceID := verifier.TraceID()
 	digest := stream.NewSessionDigest()
 	digest.Add(first)
 	if _, err := protocol.ApplyStreamFrame(ctx, verifier, first); err != nil {
 		s.streamSessionError(conn, verifier, traceID, start, err)
-		return
+		return false
 	}
 
 	frames := uint32(1)
 	for {
-		f, err := s.readStreamFrame(conn)
+		f, err := s.readStreamFrame(conn, time.Time{})
 		if err != nil {
 			verifier.Abandon("error")
 			fail(traceID, http.StatusBadRequest, fmt.Sprintf("reading frame: %v", err))
-			return
+			return false
 		}
 		if f.Type == stream.TypeFinish {
 			fin, err := stream.DecodeFinish(f.Payload)
 			if err != nil {
 				verifier.Abandon("error")
 				fail(traceID, http.StatusBadRequest, fmt.Sprintf("decoding finish: %v", err))
-				return
+				return false
 			}
 			// Raw-byte digest comparison: the client's sum must reproduce
 			// over the frames actually received, or the session was
@@ -313,27 +334,26 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 				verifier.Abandon("error")
 				fail(traceID, http.StatusBadRequest, fmt.Sprintf(
 					"session digest mismatch over %d frames", frames))
-				return
+				return false
 			}
 			decision, err := verifier.Finish(ctx)
 			if err != nil {
 				s.streamSessionError(conn, verifier, traceID, start, err)
-				return
+				return false
 			}
 			s.respondStream(conn, &decision, false, start)
-			return
+			return false
 		}
 		digest.Add(f)
 		frames++
 		decision, err := protocol.ApplyStreamFrame(ctx, verifier, f)
 		if err != nil {
 			s.streamSessionError(conn, verifier, traceID, start, err)
-			return
+			return false
 		}
 		if decision != nil {
 			s.respondStream(conn, decision, true, start)
-			s.drainStream(conn)
-			return
+			return true
 		}
 	}
 }
@@ -399,14 +419,17 @@ func (s *Server) respondStream(conn net.Conn, decision *core.Decision, early boo
 }
 
 // drainStream consumes frames still in flight after an early decision so
-// the client's writes do not error mid-upload; the per-frame deadline
-// and the finish frame (or the client closing on receipt of the
-// decision) bound the drain.
+// the client's writes do not error mid-upload. The finish frame (or the
+// client closing on receipt of the decision) ends the drain; the
+// per-frame deadline, streamDrainLimit and protocol.MaxPayloadBytes
+// bound it against a client that keeps sending.
 func (s *Server) drainStream(conn net.Conn) {
-	for {
-		f, err := s.readStreamFrame(conn)
+	deadline := time.Now().Add(streamDrainLimit)
+	for drained := int64(0); drained <= protocol.MaxPayloadBytes; {
+		f, err := s.readStreamFrame(conn, deadline)
 		if err != nil || f.Type == stream.TypeFinish {
 			return
 		}
+		drained += f.WireSize()
 	}
 }

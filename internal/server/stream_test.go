@@ -156,6 +156,12 @@ func TestStreamGenuineSessionAccepted(t *testing.T) {
 	if st.Accepted != 1 || st.Requests != 1 {
 		t.Errorf("stats = %+v, want one accepted request", st)
 	}
+	// The server counts a frame once its write returns, which can be
+	// after the client has read it: wait for the egress accounting.
+	deadline := time.Now().Add(5 * time.Second)
+	for (srv.streamFramesOut.Value() == 0 || srv.streamBytesOut.Value() == 0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if srv.streamFramesIn.Value() == 0 || srv.streamFramesOut.Value() == 0 {
 		t.Error("frame counters not fed")
 	}
@@ -277,6 +283,77 @@ func TestStreamShedsWhenOverloaded(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Shed != 1 {
 		t.Errorf("stats = %+v, want one shed", st)
+	}
+}
+
+// TestStreamDrainReleasesAdmissionSlot pins that a session rejected
+// early gives its admission slot back before the server drains the
+// frames its client is still sending: under -max-inflight 1 a client
+// trickling frames after its REJECT must not shed the next session.
+func TestStreamDrainReleasesAdmissionSlot(t *testing.T) {
+	srv, addr := streamTestServer(t, nil, WithMaxInflightVerifies(1))
+	frames := sessionFrames(t, "stream-drain-1", replaySession(t, 22))
+	next := sessionFrames(t, "stream-drain-2", replaySession(t, 24))
+
+	first := dialStream(t, addr)
+	for _, f := range frames[:len(frames)-1] {
+		if err := stream.WriteFrame(first, f); err != nil {
+			t.Fatalf("writing %v frame: %v", f.Type, err)
+		}
+	}
+	reply, err := stream.ReadFrame(first, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, early, err := protocol.DecisionFromStreamFrame(reply); err != nil || !early {
+		t.Fatalf("first session: early = %v, err = %v; want an early decision", early, err)
+	}
+
+	// The first client keeps sending after its verdict and never
+	// finishes, while the next session arrives.
+	stop := make(chan struct{})
+	trickled := make(chan struct{})
+	go func() {
+		defer close(trickled)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(5 * time.Millisecond):
+			}
+			if err := stream.WriteFrame(first, frames[1]); err != nil {
+				t.Errorf("trickling after the verdict: %v", err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-trickled
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.verifyInflight.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("admission slot still held while draining the first session")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	conn := dialStream(t, addr)
+	for _, f := range next {
+		if err := stream.WriteFrame(conn, f); err != nil {
+			t.Fatalf("writing %v frame: %v", f.Type, err)
+		}
+	}
+	reply, err = stream.ReadFrame(conn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := protocol.DecisionFromStreamFrame(reply); err != nil {
+		status, _, _, _ := protocol.ErrorFromStreamFrame(reply)
+		t.Fatalf("next session answered status %d, want a decision", status)
+	}
+	if st := srv.Stats(); st.Shed != 0 || st.Rejected != 2 {
+		t.Errorf("stats = %+v, want two rejections and nothing shed", st)
 	}
 }
 
