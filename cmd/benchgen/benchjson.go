@@ -19,6 +19,7 @@ import (
 	"voiceguard/internal/experiment"
 	"voiceguard/internal/features"
 	"voiceguard/internal/gmm"
+	"voiceguard/internal/ranging"
 	"voiceguard/internal/speech"
 )
 
@@ -116,6 +117,13 @@ func benchJSONRows(seed int64) ([]benchRow, error) {
 		return nil, fmt.Errorf("compiling bench speaker model: %w", err)
 	}
 
+	// The served gesture capture: 2.5 s of 19 kHz pilot at 48 kHz.
+	capture, err := ranging.Simulate(ranging.DefaultChannel(), 2.5,
+		func(t float64) float64 { return 0.12 - 0.02*t }, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return nil, fmt.Errorf("simulating bench ranging capture: %w", err)
+	}
+
 	var rows []benchRow
 	for _, spec := range []struct {
 		name  string
@@ -152,6 +160,10 @@ func benchJSONRows(seed int64) ([]benchRow, error) {
 			// Same 300 frames as micro/gmm.MeanLogLikelihood — the two
 			// rows are the exact-vs-fast speedup comparison.
 			_, err := compiled.TopC(scoreFrames, gmm.DefaultShortlistC)
+			return err
+		}},
+		{"micro/ranging.Recover", 50, func() error {
+			_, err := ranging.Recover(capture, ranging.RecoverConfig{Freq: ranging.DefaultPilotHz})
 			return err
 		}},
 		{"experiment/table1", 1, func() error {

@@ -79,7 +79,7 @@ func TestWriteBenchJSONShape(t *testing.T) {
 	for _, want := range []string{
 		"micro/features.Extract", "experiment/table1",
 		"micro/gmm.TopCShortlist", "micro/gmm.ScoringModelCompile",
-		"batch/asv.BatchedVerify",
+		"batch/asv.BatchedVerify", "micro/ranging.Recover",
 	} {
 		if !seen[want] {
 			t.Fatalf("missing row %q", want)

@@ -15,6 +15,7 @@ import (
 
 	"voiceguard/internal/audio"
 	"voiceguard/internal/dsp"
+	"voiceguard/internal/parallel"
 )
 
 // SpeedOfSound in air, m/s.
@@ -187,10 +188,16 @@ type RecoverConfig struct {
 // capture. It demodulates the pilot to baseband I/Q per block, removes
 // the static leak/multipath phasor (the capture-wide mean), and unwraps
 // the phase of the remaining dynamic (echo) phasor. Displacement follows
-// from Δφ = -4π·Δd/λ.
+// from Δφ = -4π·Δd/λ. A capture that cannot be demodulated is an error:
+// a rate that is not finite and positive, a pilot outside (0, rate/2),
+// or samples that make a block's I/Q non-finite.
 func Recover(capture *audio.Signal, cfg RecoverConfig) (*Displacement, error) {
-	if cfg.Freq <= 0 {
-		return nil, fmt.Errorf("ranging: bad pilot frequency %v", cfg.Freq)
+	rate := capture.Rate
+	if !finite(rate) || rate <= 0 {
+		return nil, fmt.Errorf("ranging: bad capture rate %v", rate)
+	}
+	if !finite(cfg.Freq) || cfg.Freq <= 0 || cfg.Freq >= rate/2 {
+		return nil, fmt.Errorf("ranging: pilot %v Hz outside (0, %v) Hz for a %v Hz capture", cfg.Freq, rate/2, rate)
 	}
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 256
@@ -202,18 +209,11 @@ func Recover(capture *audio.Signal, cfg RecoverConfig) (*Displacement, error) {
 	if n < 3 {
 		return nil, ErrCaptureTooShort
 	}
-	w := 2 * math.Pi * cfg.Freq / capture.Rate
-	iq := make([]complex128, n)
-	for b := 0; b < n; b++ {
-		var re, im float64
-		off := b * cfg.BlockSize
-		for k := 0; k < cfg.BlockSize; k++ {
-			v := capture.Samples[off+k]
-			ph := w * float64(off+k)
-			re += v * math.Cos(ph)
-			im += v * -math.Sin(ph)
+	iq := demodulate(capture.Samples, 2*math.Pi*cfg.Freq/rate, cfg.BlockSize, n)
+	for b, z := range iq {
+		if !finite(real(z)) || !finite(imag(z)) {
+			return nil, fmt.Errorf("ranging: non-finite I/Q in block %d", b)
 		}
-		iq[b] = complex(re, im)
 	}
 	// Remove the static component (leak + fixed multipath): the
 	// capture-wide mean. The moving echo's phasor rotates through full
@@ -260,6 +260,34 @@ func Recover(capture *audio.Signal, cfg RecoverConfig) (*Displacement, error) {
 	}
 	return out, nil
 }
+
+// demodulate mixes the first n blocks of samples down to baseband with
+// the pilot phasor e^{-iwk} and sums each block to one I/Q value. Blocks
+// are independent and each block's sum runs serially in sample order, so
+// the fan-out leaves every bit as a serial loop would. One Sincos per
+// sample shares the argument reduction that separate Sin and Cos calls
+// would each repeat, and returns the same bits (Go's pure-Go Sincos uses
+// the same reduction and polynomials as its Sin and Cos).
+// unit: w rad
+func demodulate(samples []float64, w float64, blockSize, n int) []complex128 {
+	iq := make([]complex128, n)
+	parallel.Range(n, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			var re, im float64
+			off := b * blockSize
+			for k, v := range samples[off : off+blockSize] {
+				sin, cos := math.Sincos(w * float64(off+k))
+				re += v * cos
+				im += v * -sin
+			}
+			iq[b] = complex(re, im)
+		}
+	})
+	return iq
+}
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // At linearly interpolates the displacement at time t, clamping to the
 // track ends.

@@ -2,9 +2,13 @@ package ranging
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"voiceguard/internal/audio"
+	"voiceguard/internal/dsp"
 )
 
 func TestCalibratePilot(t *testing.T) {
@@ -142,21 +146,169 @@ func TestRecoverStationaryIsFlat(t *testing.T) {
 	}
 }
 
+// TestRecoverErrors also checks that a capture whose rate, pilot or
+// samples cannot yield a phase track is an error rather than a NaN or
+// aliased displacement the distance stage would score.
 func TestRecoverErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	capture, err := Simulate(DefaultChannel(), 1, func(float64) float64 { return 0.1 }, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(capture, RecoverConfig{Freq: 0}); err == nil {
-		t.Error("zero freq accepted")
-	}
-	if _, err := Recover(capture, RecoverConfig{Freq: 19000, BlockSize: 8}); err == nil {
-		t.Error("tiny block accepted")
-	}
 	short := Pilot(19000, 48000, 0.005)
 	if _, err := Recover(short, RecoverConfig{Freq: 19000}); !errors.Is(err, ErrCaptureTooShort) {
 		t.Errorf("short capture err = %v", err)
+	}
+	withRate := func(rate float64) *audio.Signal {
+		return &audio.Signal{Rate: rate, Samples: capture.Samples}
+	}
+	withSample := func(i int, v float64) *audio.Signal {
+		s := capture.Clone()
+		s.Samples[i] = v
+		return s
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name    string
+		capture *audio.Signal
+		cfg     RecoverConfig
+	}{
+		{"zero freq", capture, RecoverConfig{Freq: 0}},
+		{"tiny block", capture, RecoverConfig{Freq: 19000, BlockSize: 8}},
+		{"rate 0", withRate(0), RecoverConfig{Freq: DefaultPilotHz}},
+		{"negative rate", withRate(-48000), RecoverConfig{Freq: DefaultPilotHz}},
+		{"NaN rate", withRate(nan), RecoverConfig{Freq: DefaultPilotHz}},
+		{"+Inf rate", withRate(inf), RecoverConfig{Freq: DefaultPilotHz}},
+		{"NaN pilot", capture, RecoverConfig{Freq: nan}},
+		{"+Inf pilot", capture, RecoverConfig{Freq: inf}},
+		{"-Inf pilot", capture, RecoverConfig{Freq: -inf}},
+		{"pilot at Nyquist", capture, RecoverConfig{Freq: DefaultRate / 2}},
+		{"pilot above Nyquist", capture, RecoverConfig{Freq: 30000}},
+		{"NaN sample", withSample(1000, nan), RecoverConfig{Freq: DefaultPilotHz}},
+		{"+Inf sample", withSample(capture.Len()/2, inf), RecoverConfig{Freq: DefaultPilotHz}},
+	}
+	for _, tc := range cases {
+		if d, err := Recover(tc.capture, tc.cfg); err == nil {
+			t.Errorf("%s: recovered %d blocks, want an error", tc.name, len(d.Dr))
+		}
+	}
+}
+
+// recoverSerialOracle is Recover as it stood before the Sincos rewrite
+// and the block fan-out: separate Cos and Sin per sample, blocks in
+// order on one goroutine. It is the bit-exactness reference.
+func recoverSerialOracle(capture *audio.Signal, cfg RecoverConfig) *Displacement {
+	if cfg.BlockSize == 0 {
+		cfg.BlockSize = 256
+	}
+	n := len(capture.Samples) / cfg.BlockSize
+	w := 2 * math.Pi * cfg.Freq / capture.Rate
+	iq := make([]complex128, n)
+	for b := 0; b < n; b++ {
+		var re, im float64
+		off := b * cfg.BlockSize
+		for k := 0; k < cfg.BlockSize; k++ {
+			v := capture.Samples[off+k]
+			ph := w * float64(off+k)
+			re += v * math.Cos(ph)
+			im += v * -math.Sin(ph)
+		}
+		iq[b] = complex(re, im)
+	}
+	var mean complex128
+	for _, z := range iq {
+		mean += z
+	}
+	mean /= complex(float64(n), 0)
+	steps := make([]float64, 0, n-1)
+	for b := 1; b < n; b++ {
+		d := iq[b] - iq[b-1]
+		steps = append(steps, math.Hypot(real(d), imag(d)))
+	}
+	insertionSortFloats(steps)
+	gate := 0.0
+	if len(steps) > 0 {
+		gate = 3 * steps[len(steps)/2] / math.Sqrt2
+	}
+	phase := make([]float64, n)
+	var prev float64
+	for b, z := range iq {
+		d := z - mean
+		if math.Hypot(real(d), imag(d)) < gate {
+			phase[b] = prev
+			continue
+		}
+		phase[b] = math.Atan2(imag(d), real(d))
+		prev = phase[b]
+	}
+	dsp.Unwrap(phase)
+	lambda := SpeedOfSound / cfg.Freq
+	out := &Displacement{T: make([]float64, n), Dr: make([]float64, n)}
+	for b := 0; b < n; b++ {
+		out.T[b] = (float64(b) + 0.5) * float64(cfg.BlockSize) / capture.Rate
+		out.Dr[b] = -(phase[b] - phase[0]) * lambda / (4 * math.Pi)
+	}
+	return out
+}
+
+// TestRecoverParallelMatchesSerialLoop is the differential check on the
+// demodulator: at any GOMAXPROCS (CI runs it at -cpu=1,4 under -race)
+// every T and Dr must carry the same bits as the serial Sin/Cos loop.
+// The captures cover the serial fallback (fewer blocks than the fan-out
+// threshold), the served 2.5 s gesture, a length that is not a whole
+// number of blocks, a 60 s capture, every calibration pilot at 44.1 and
+// 48 kHz, and block sizes 16, 256 and 1000.
+func TestRecoverParallelMatchesSerialLoop(t *testing.T) {
+	approach := func(tt float64) float64 { return 0.12 - 0.01*tt }
+	simulate := func(t *testing.T, freq, rate, seconds float64, seed int64) *audio.Signal {
+		t.Helper()
+		ch := DefaultChannel()
+		ch.Freq, ch.Rate = freq, rate
+		capture, err := Simulate(ch, seconds, approach, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return capture
+	}
+	check := func(t *testing.T, name string, capture *audio.Signal, cfg RecoverConfig) {
+		t.Helper()
+		got, err := Recover(capture, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := recoverSerialOracle(capture, cfg)
+		if len(got.T) != len(want.T) || len(got.Dr) != len(want.Dr) {
+			t.Fatalf("%s: %d/%d blocks, oracle %d/%d", name, len(got.T), len(got.Dr), len(want.T), len(want.Dr))
+		}
+		for b := range want.T {
+			if math.Float64bits(got.T[b]) != math.Float64bits(want.T[b]) ||
+				math.Float64bits(got.Dr[b]) != math.Float64bits(want.Dr[b]) {
+				t.Fatalf("%s: block %d (T, Dr) = (%v, %v), oracle (%v, %v)",
+					name, b, got.T[b], got.Dr[b], want.T[b], want.Dr[b])
+			}
+		}
+	}
+
+	served := simulate(t, DefaultPilotHz, DefaultRate, 2.5, 11)
+	if served.Len() != 120000 {
+		t.Fatalf("served capture has %d samples, want 120000", served.Len())
+	}
+	ragged := simulate(t, DefaultPilotHz, DefaultRate, 2.5+77/DefaultRate, 12)
+	for _, bs := range []int{16, 256, 1000} {
+		// Five blocks stay under the fan-out threshold: the serial
+		// fallback runs on the caller's goroutine.
+		few := &audio.Signal{Rate: DefaultRate, Samples: served.Samples[:5*bs+bs/2]}
+		check(t, fmt.Sprintf("5 blocks bs=%d", bs), few, RecoverConfig{Freq: DefaultPilotHz, BlockSize: bs})
+		check(t, fmt.Sprintf("served bs=%d", bs), served, RecoverConfig{Freq: DefaultPilotHz, BlockSize: bs})
+		check(t, fmt.Sprintf("ragged bs=%d", bs), ragged, RecoverConfig{Freq: DefaultPilotHz, BlockSize: bs})
+	}
+	check(t, "0.05 s", simulate(t, DefaultPilotHz, DefaultRate, 0.05, 13), RecoverConfig{Freq: DefaultPilotHz})
+	check(t, "60 s", simulate(t, DefaultPilotHz, DefaultRate, 60, 14), RecoverConfig{Freq: DefaultPilotHz})
+	for _, rate := range []float64{44100, 48000} {
+		for i, f := range DefaultPilotCandidates() {
+			capture := simulate(t, f, rate, 2.5, int64(100+i))
+			check(t, fmt.Sprintf("pilot %v Hz at %v Hz", f, rate), capture, RecoverConfig{Freq: f})
+		}
 	}
 }
 
@@ -198,7 +350,8 @@ func TestFig6SpectrogramShowsPilot(t *testing.T) {
 
 func BenchmarkRecover(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	capture, err := Simulate(DefaultChannel(), 1.5, func(tt float64) float64 { return 0.12 - 0.04*tt }, rng)
+	// The served gesture capture: 2.5 s at 48 kHz, 120 000 samples.
+	capture, err := Simulate(DefaultChannel(), 2.5, func(tt float64) float64 { return 0.12 - 0.04*tt }, rng)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,6 +5,8 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -109,4 +111,49 @@ func TestVerifyStructurallyCorruptSessions(t *testing.T) {
 // decodeJSON decodes a JSON body.
 func decodeJSON(r io.Reader, v any) error {
 	return json.NewDecoder(r).Decode(v)
+}
+
+// zeroCaptureRate rewrites the capture WAV's fmt sample rate (and byte
+// rate) to 0: a header audio.ReadWAV parses, describing a capture no
+// pilot can be demodulated from.
+func zeroCaptureRate(t *testing.T, r *protocol.VerifyRequest) {
+	t.Helper()
+	raw, err := base64.StdEncoding.DecodeString(string(r.CaptureWAV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[24:28], 0)
+	binary.LittleEndian.PutUint32(raw[28:32], 0)
+	r.CaptureWAV = []byte(base64.StdEncoding.EncodeToString(raw))
+}
+
+// TestVerifyUndemodulatableCaptureRefused checks that a genuine session
+// whose ranging capture cannot be demodulated — a pilot at or above the
+// capture's Nyquist frequency, or a capture rate of 0 — is a 400 counted
+// under Errors, never a verdict scored on a NaN or aliased displacement.
+func TestVerifyUndemodulatableCaptureRefused(t *testing.T) {
+	srv, ts := testServer(t)
+	cases := []struct {
+		name   string
+		mutate func(*protocol.VerifyRequest)
+	}{
+		{"pilot above Nyquist", func(r *protocol.VerifyRequest) { r.PilotHz = 30000 }},
+		{"pilot at Nyquist", func(r *protocol.VerifyRequest) { r.PilotHz = ranging.DefaultRate / 2 }},
+		{"capture rate 0", func(r *protocol.VerifyRequest) { zeroCaptureRate(t, r) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			payload := corruptedSession(t, 1, tc.mutate)
+			if code := postVerify(t, ts.URL, payload); code != http.StatusBadRequest {
+				t.Errorf("status %d, want 400", code)
+			}
+		})
+	}
+	st := srv.Stats()
+	if st.Requests != st.Accepted+st.Rejected+st.Errors+st.DeadlineExceeded+st.Shed {
+		t.Errorf("counter invariant broken: %+v", st)
+	}
+	if st.Errors != int64(len(cases)) || st.Accepted != 0 || st.Rejected != 0 {
+		t.Errorf("stats = %+v, want %d errors and no verdicts", st, len(cases))
+	}
 }

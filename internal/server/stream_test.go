@@ -7,6 +7,8 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -449,5 +451,66 @@ func TestStreamFrameTimeoutReleasesStalledSession(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Errors != 1 {
 		t.Errorf("stats = %+v, want one error", st)
+	}
+}
+
+// TestStreamUndemodulatableCaptureRefused is the stream twin of
+// TestVerifyUndemodulatableCaptureRefused: a hello pilot that is NaN,
+// infinite or above the capture's Nyquist frequency, or a capture
+// audio_chunk rate of 0, ends the session with a 400 error frame counted
+// under Errors, never a verdict.
+func TestStreamUndemodulatableCaptureRefused(t *testing.T) {
+	srv, addr := streamTestServer(t, nil)
+	cases := []struct {
+		name   string
+		mutate func(*protocol.VerifyRequest)
+	}{
+		{"NaN pilot", func(r *protocol.VerifyRequest) { r.PilotHz = math.NaN() }},
+		{"+Inf pilot", func(r *protocol.VerifyRequest) { r.PilotHz = math.Inf(1) }},
+		{"pilot above Nyquist", func(r *protocol.VerifyRequest) { r.PilotHz = 30000 }},
+		{"capture rate 0", func(r *protocol.VerifyRequest) { zeroCaptureRate(t, r) }},
+	}
+	session := genuineSession(t, 1)
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := protocol.FromSession(session, ranging.DefaultPilotHz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(req)
+			traceID := fmt.Sprintf("stream-undemodulatable-%d", i)
+			frames, err := protocol.StreamFrames(traceID, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn := dialStream(t, addr)
+			for _, f := range frames {
+				if err := stream.WriteFrame(conn, f); err != nil {
+					// The server may close as soon as it refuses.
+					break
+				}
+			}
+			reply, err := stream.ReadFrame(conn, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			status, _, env, err := protocol.ErrorFromStreamFrame(reply)
+			if err != nil {
+				t.Fatalf("reply is not an error frame: %v", err)
+			}
+			if status != http.StatusBadRequest {
+				t.Errorf("status = %d, want 400", status)
+			}
+			if env.TraceID != traceID {
+				t.Errorf("envelope trace ID = %q, want %q", env.TraceID, traceID)
+			}
+		})
+	}
+	st := srv.Stats()
+	if st.Requests != st.Accepted+st.Rejected+st.Errors+st.DeadlineExceeded+st.Shed {
+		t.Errorf("counter invariant broken: %+v", st)
+	}
+	if st.Errors != int64(len(cases)) || st.Accepted != 0 || st.Rejected != 0 {
+		t.Errorf("stats = %+v, want %d errors and no verdicts", st, len(cases))
 	}
 }

@@ -3,10 +3,12 @@ package trajectory
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"voiceguard/internal/geometry"
 	"voiceguard/internal/magnetics"
+	"voiceguard/internal/ranging"
 )
 
 func TestUseCaseValidate(t *testing.T) {
@@ -237,6 +239,54 @@ func BenchmarkEstimateDistance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := g.Estimate(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFromUpload times the server-side gesture rebuild on the
+// standard genuine gesture (a 2.5 s, 48 kHz ranging capture): heading
+// fusion, gravity removal and the pilot demodulation in ranging.Recover.
+func BenchmarkFromUpload(b *testing.B) {
+	g, err := SimulateGesture(GestureConfig{UseCase: StandardUseCase(0.06), Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromUpload(g.Gyro, g.Accel, g.Mag, g.Capture, ranging.DefaultPilotHz, g.SweepStart, g.SweepEnd); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestFromUploadDeterministicAcrossWorkers checks that the server-side
+// rebuild recovers the same displacement bits on one worker as on the
+// test's GOMAXPROCS (CI runs it at -cpu=1,4 under -race), so the
+// distance stage scores the same gesture however many cores serve it.
+func TestFromUploadDeterministicAcrossWorkers(t *testing.T) {
+	g, err := SimulateGesture(GestureConfig{UseCase: StandardUseCase(0.06), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuild := func() *Gesture {
+		t.Helper()
+		up, err := FromUpload(g.Gyro, g.Accel, g.Mag, g.Capture, ranging.DefaultPilotHz, g.SweepStart, g.SweepEnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return up
+	}
+	got := rebuild()
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	serial := rebuild()
+	if len(got.Disp.Dr) != len(serial.Disp.Dr) {
+		t.Fatalf("%d blocks, serial %d", len(got.Disp.Dr), len(serial.Disp.Dr))
+	}
+	for i := range serial.Disp.Dr {
+		if math.Float64bits(got.Disp.Dr[i]) != math.Float64bits(serial.Disp.Dr[i]) {
+			t.Fatalf("block %d: Dr %v at GOMAXPROCS=%d, %v serial", i, got.Disp.Dr[i], prev, serial.Disp.Dr[i])
 		}
 	}
 }
