@@ -15,12 +15,13 @@ import (
 
 // StreamVerifier evaluates a verification session incrementally as its
 // channels arrive over the streaming protocol. Chunks accumulate into
-// per-channel buffers; a stage is admitted the moment every channel it
-// reads is complete, and the session REJECTS the instant any admitted
-// stage fails — without waiting for the rest of the upload. ACCEPT still
-// requires every configured stage to run and pass at Finish, so the
-// cascade semantics (and the never-fabricate-REJECT deadline guarantee)
-// match System.VerifyContext exactly.
+// per-channel buffers (audio chunks are kept as offered and joined once,
+// when their channel closes); a stage is admitted the moment every
+// channel it reads is complete, and the session REJECTS the instant any
+// admitted stage fails — without waiting for the rest of the upload.
+// ACCEPT still requires every configured stage to run and pass at
+// Finish, so the cascade semantics (and the never-fabricate-REJECT
+// deadline guarantee) match System.VerifyContext exactly.
 //
 // One extra early exit runs before its channel completes: each
 // magnetometer chunk is re-checked via settledMetrics, whose statistics
@@ -45,6 +46,9 @@ type StreamVerifier struct {
 	gyro, accel, mag *sensors.Trace
 	field            []soundfield.Measurement
 	capture, voice   *audio.Signal
+	// captureChunks and voiceChunks hold an open audio channel's chunks
+	// until its last one arrives and offerAudio joins them.
+	captureChunks, voiceChunks [][]float64
 
 	helloDone, marksDone                                            bool
 	gyroDone, accelDone, magDone, fieldDone, captureDone, voiceDone bool
@@ -216,19 +220,25 @@ func (v *StreamVerifier) OfferField(ctx context.Context, points []soundfield.Mea
 
 // OfferCapture extends the gesture-capture audio channel (the ranging
 // sweep recording); last closes it. Rate must not change mid-channel.
+// The verifier keeps samples, without copying, until the channel closes:
+// the caller must not modify it before then.
 // unit: rate Hz
 func (v *StreamVerifier) OfferCapture(ctx context.Context, rate float64, samples []float64, last bool) (*Decision, error) {
-	return v.offerAudio(ctx, &v.capture, &v.captureDone, "capture", rate, samples, last)
+	return v.offerAudio(ctx, &v.capture, &v.captureChunks, &v.captureDone, "capture", rate, samples, last)
 }
 
-// OfferVoice extends the passphrase audio channel; last closes it.
+// OfferVoice extends the passphrase audio channel; last closes it. Like
+// OfferCapture, it keeps samples until the channel closes.
 // unit: rate Hz
 func (v *StreamVerifier) OfferVoice(ctx context.Context, rate float64, samples []float64, last bool) (*Decision, error) {
-	return v.offerAudio(ctx, &v.voice, &v.voiceDone, "voice", rate, samples, last)
+	return v.offerAudio(ctx, &v.voice, &v.voiceChunks, &v.voiceDone, "voice", rate, samples, last)
 }
 
+// offerAudio queues a chunk on its channel. The last chunk joins the
+// queue into one exactly sized slice, so a channel's audio is copied
+// once however it was chunked; no stage reads it before then.
 // unit: rate Hz
-func (v *StreamVerifier) offerAudio(ctx context.Context, sig **audio.Signal, done *bool, name string, rate float64, samples []float64, last bool) (*Decision, error) {
+func (v *StreamVerifier) offerAudio(ctx context.Context, sig **audio.Signal, chunks *[][]float64, done *bool, name string, rate float64, samples []float64, last bool) (*Decision, error) {
 	open, err := v.admit(ctx)
 	if !open || err != nil {
 		return nil, err
@@ -241,8 +251,18 @@ func (v *StreamVerifier) offerAudio(ctx context.Context, sig **audio.Signal, don
 	} else if (*sig).Rate != rate { //lint:allow floatcmp the wire carries exact float64 bits; any change is a protocol error
 		return nil, v.fail(fmt.Errorf("core: %s audio rate changed mid-stream (%v -> %v)", name, (*sig).Rate, rate))
 	}
-	(*sig).Samples = append((*sig).Samples, samples...)
+	*chunks = append(*chunks, samples)
 	if last {
+		n := 0
+		for _, c := range *chunks {
+			n += len(c)
+		}
+		joined := make([]float64, 0, n)
+		for _, c := range *chunks {
+			joined = append(joined, c...)
+		}
+		(*sig).Samples = joined
+		*chunks = nil
 		*done = true
 	}
 	return v.advance(ctx)
@@ -265,12 +285,16 @@ func (v *StreamVerifier) Finish(ctx context.Context) (Decision, error) {
 	if !v.helloDone || !v.marksDone {
 		return Decision{TraceID: v.traceID}, v.fail(fmt.Errorf("core: finish before hello/segment marks"))
 	}
-	for name, done := range map[string]bool{
-		"gyro": v.gyroDone, "accel": v.accelDone, "mag": v.magDone,
-		"field": v.fieldDone, "capture": v.captureDone, "voice": v.voiceDone,
+	// A fixed order, so the error names the same channel every time.
+	for _, ch := range [...]struct {
+		name string
+		done bool
+	}{
+		{"gyro", v.gyroDone}, {"accel", v.accelDone}, {"mag", v.magDone},
+		{"field", v.fieldDone}, {"capture", v.captureDone}, {"voice", v.voiceDone},
 	} {
-		if !done {
-			return Decision{TraceID: v.traceID}, v.fail(fmt.Errorf("core: finish before %s channel closed", name))
+		if !ch.done {
+			return Decision{TraceID: v.traceID}, v.fail(fmt.Errorf("core: finish before %s channel closed", ch.name))
 		}
 	}
 	// Validation parity with the HTTP path: the same session contents

@@ -4,8 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
+	"voiceguard/internal/audio"
 	"voiceguard/internal/geometry"
 	"voiceguard/internal/ranging"
 	"voiceguard/internal/sensors"
@@ -15,9 +18,10 @@ import (
 
 // feedStream replays a session's channels through a StreamVerifier the
 // way the protocol bridge does: hello and marks first, sensors in small
-// interleaved chunks, then field, capture and voice. It returns the
-// decision, whether it arrived before Finish, and the verifier.
-func feedStream(t *testing.T, sys *System, session *SessionData, chunk int) (Decision, bool, *StreamVerifier) {
+// interleaved chunks, then field, capture and voice. splitAudio chunks
+// each audio channel (nil offers it whole). It returns the decision,
+// whether it arrived before Finish, and the verifier.
+func feedStream(t *testing.T, sys *System, session *SessionData, chunk int, splitAudio func([]float64) [][]float64) (Decision, bool, *StreamVerifier) {
 	t.Helper()
 	ctx := context.Background()
 	v, err := sys.NewStreamVerifier("stream-test")
@@ -64,10 +68,22 @@ func feedStream(t *testing.T, sys *System, session *SessionData, chunk int) (Dec
 	if d, err := v.OfferField(ctx, session.Field, true); d != nil || err != nil {
 		return early(d, err)
 	}
-	if d, err := v.OfferCapture(ctx, g.Capture.Rate, g.Capture.Samples, true); d != nil || err != nil {
+	if splitAudio == nil {
+		splitAudio = func(s []float64) [][]float64 { return [][]float64{s} }
+	}
+	offerAudio := func(sig *audio.Signal, offer func(context.Context, float64, []float64, bool) (*Decision, error)) (*Decision, error) {
+		chunks := splitAudio(sig.Samples)
+		for i, c := range chunks {
+			if d, err := offer(ctx, sig.Rate, c, i == len(chunks)-1); d != nil || err != nil {
+				return d, err
+			}
+		}
+		return nil, nil
+	}
+	if d, err := offerAudio(g.Capture, v.OfferCapture); d != nil || err != nil {
 		return early(d, err)
 	}
-	if d, err := v.OfferVoice(ctx, session.Voice.Rate, session.Voice.Samples, true); d != nil || err != nil {
+	if d, err := offerAudio(session.Voice, v.OfferVoice); d != nil || err != nil {
 		return early(d, err)
 	}
 	d, err := v.Finish(ctx)
@@ -106,7 +122,7 @@ func TestStreamVerifierMatchesBatchVerdictBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, early, _ := feedStream(t, sys, session, 64)
+	streamed, early, _ := feedStream(t, sys, session, 64, nil)
 
 	if !batch.Accepted || !streamed.Accepted {
 		t.Fatalf("genuine verdicts: batch=%v stream=%v", batch.Accepted, streamed.Accepted)
@@ -132,6 +148,138 @@ func TestStreamVerifierMatchesBatchVerdictBitForBit(t *testing.T) {
 	}
 }
 
+// TestStreamVerifierAudioChunkingIsInvisible offers one genuine
+// session's capture and voice under several chunkings. The joined audio,
+// every stage score and the decision must not depend on where the chunk
+// boundaries fall, and each joined channel must be one exactly sized
+// slice of its own.
+func TestStreamVerifierAudioChunkingIsInvisible(t *testing.T) {
+	victim := speech.NewDistinctRoster(2, 200, 1.2).Profiles()[0]
+	sys := fullSystem(t, victim, "135792", 200)
+	session := genuineSessionFor(t, victim, "135792", 201)
+
+	// Chunks are fresh copies, as protocol.ApplyStreamFrame offers them,
+	// and are recorded so the joined slices can be checked against them.
+	var offered [][]float64
+	every := func(n int) func([]float64) [][]float64 {
+		return func(s []float64) [][]float64 {
+			var out [][]float64
+			for off := 0; off < len(s); off += n {
+				out = append(out, slices.Clone(s[off:min(off+n, len(s))]))
+			}
+			offered = append(offered, out...)
+			return out
+		}
+	}
+	emptyMidway := func(s []float64) [][]float64 {
+		h := len(s) / 2
+		out := [][]float64{slices.Clone(s[:h]), {}, slices.Clone(s[h:])}
+		offered = append(offered, out...)
+		return out
+	}
+	chunkings := []struct {
+		name  string
+		split func([]float64) [][]float64
+	}{
+		{"one chunk", every(math.MaxInt)},
+		{"8192 samples", every(8192)},
+		{"1000 samples", every(1000)},
+		{"empty chunk midway", emptyMidway},
+	}
+	overlaps := func(a, b []float64) bool {
+		if len(a) == 0 || len(b) == 0 {
+			return false
+		}
+		const size = unsafe.Sizeof(float64(0))
+		a0, b0 := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+		return a0 < b0+uintptr(len(b))*size && b0 < a0+uintptr(len(a))*size
+	}
+
+	var ref Decision
+	for i, c := range chunkings {
+		offered = nil
+		d, early, v := feedStream(t, sys, session, 64, c.split)
+		if early || !d.Accepted {
+			t.Fatalf("%s: genuine session early=%v accepted=%v", c.name, early, d.Accepted)
+		}
+		for _, ch := range []struct {
+			name         string
+			joined, want []float64
+		}{
+			{"capture", v.capture.Samples, session.Gesture.Capture.Samples},
+			{"voice", v.voice.Samples, session.Voice.Samples},
+		} {
+			if len(ch.joined) != len(ch.want) || cap(ch.joined) != len(ch.joined) {
+				t.Fatalf("%s: %s joined len %d cap %d, want len = cap = %d",
+					c.name, ch.name, len(ch.joined), cap(ch.joined), len(ch.want))
+			}
+			for j := range ch.want {
+				if math.Float64bits(ch.joined[j]) != math.Float64bits(ch.want[j]) {
+					t.Fatalf("%s: %s sample %d bits differ", c.name, ch.name, j)
+				}
+			}
+			for _, o := range offered {
+				if overlaps(ch.joined, o) {
+					t.Fatalf("%s: joined %s aliases an offered chunk", c.name, ch.name)
+				}
+			}
+		}
+		if i == 0 {
+			ref = d
+			continue
+		}
+		if d.Accepted != ref.Accepted || d.FailedStage != ref.FailedStage || len(d.Stages) != len(ref.Stages) {
+			t.Fatalf("%s: decision %v differs from one chunk's %v", c.name, d.String(), ref.String())
+		}
+		for j, st := range d.Stages {
+			if st.Stage != ref.Stages[j].Stage || math.Float64bits(st.Score) != math.Float64bits(ref.Stages[j].Score) {
+				t.Errorf("%s: stage %v score bits %x, one chunk gave %x", c.name, st.Stage,
+					math.Float64bits(st.Score), math.Float64bits(ref.Stages[j].Score))
+			}
+		}
+	}
+}
+
+// TestStreamVerifierFinishNamesOpenChannelsInOrder finishes a session
+// with the gyro and voice channels still open: the error must name the
+// same channel, gyro, every time.
+func TestStreamVerifierFinishNamesOpenChannelsInOrder(t *testing.T) {
+	sys, err := BuildSystem(SystemConfig{FieldSeed: 330})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the distance stage, which waits on the gyro: closing the
+	// other channels (empty) admits no stage and so decides nothing.
+	sys.Field, sys.Speaker = nil, nil
+	ctx := context.Background()
+	const want = "core: finish before gyro channel closed"
+	for i := 0; i < 20; i++ {
+		v, err := sys.NewStreamVerifier("open-channels")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.OfferHello(ctx, "u", ranging.DefaultPilotHz); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.SetMarks(ctx, 0.5, 2); err != nil {
+			t.Fatal(err)
+		}
+		for _, offer := range []func() (*Decision, error){
+			func() (*Decision, error) { return v.OfferAccel(ctx, nil, true) },
+			func() (*Decision, error) { return v.OfferMag(ctx, nil, true) },
+			func() (*Decision, error) { return v.OfferField(ctx, nil, true) },
+			func() (*Decision, error) { return v.OfferCapture(ctx, 44100, nil, true) },
+		} {
+			if d, err := offer(); d != nil || err != nil {
+				t.Fatalf("closing a channel: decision %v, err %v", d, err)
+			}
+		}
+		if _, err := v.Finish(ctx); err == nil || err.Error() != want {
+			t.Fatalf("finish %d: err = %v, want %q", i, err, want)
+		}
+	}
+}
+
 // magneticAttackSession plants a loudspeaker-grade magnetic swing in the
 // second half of an otherwise genuine session's magnetometer trace, so a
 // chunked upload trips the settled-prefix check mid-channel.
@@ -152,7 +300,7 @@ func TestStreamVerifierEarlyRejectsOnMagnetometerPrefix(t *testing.T) {
 	sys := fullSystem(t, victim, "135792", 200)
 	session := magneticAttackSession(t, victim, 201)
 
-	streamed, early, v := feedStream(t, sys, session, 16)
+	streamed, early, v := feedStream(t, sys, session, 16, nil)
 	if streamed.Accepted {
 		t.Fatal("loudspeaker session accepted")
 	}

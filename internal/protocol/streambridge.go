@@ -165,7 +165,9 @@ func audioFrames(kind stream.AudioKind, sig *audio.Signal) []stream.Frame {
 }
 
 // ApplyStreamFrame feeds one client data frame into the incremental
-// evaluator. A non-nil decision is an early REJECT. Finish, decision and
+// evaluator. A non-nil decision is an early REJECT. Nothing it passes on
+// aliases f.Payload, so the caller may reuse the payload buffer as soon
+// as it returns. Finish, decision and
 // error frames are not data: the connection handler owns them (the
 // finish digest check needs the handler's byte-level accumulator).
 func ApplyStreamFrame(ctx context.Context, v *core.StreamVerifier, f stream.Frame) (*core.Decision, error) {
@@ -220,6 +222,8 @@ func ApplyStreamFrame(ctx context.Context, v *core.StreamVerifier, f stream.Fram
 		if err != nil {
 			return nil, err
 		}
+		// c.Samples is freshly decoded, never the frame's payload, so the
+		// verifier may keep it until the channel closes.
 		if c.Kind == stream.AudioCapture {
 			return v.OfferCapture(ctx, c.Rate, c.Samples, last)
 		}

@@ -27,7 +27,7 @@ import (
 )
 
 // genuineSession builds a decodable genuine session for client uploads.
-func genuineSession(t *testing.T, seed int64) *core.SessionData {
+func genuineSession(t testing.TB, seed int64) *core.SessionData {
 	t.Helper()
 	victim := speech.RandomProfile("victim", rand.New(rand.NewSource(seed)))
 	session, err := attack.Genuine(victim, attack.Scenario{Seed: seed})

@@ -266,10 +266,10 @@ func New(system *core.System, logger *slog.Logger, opts ...Option) (*Server, err
 	s.vpErrVoice = r.Counter(MetricVoiceprintErrors, telemetry.Labels{"reason": "bad_voice"})
 	r.SetHelp(MetricVoiceprintErrors, "voiceprint baseline failures by reason")
 	s.tooLarge = make(map[string]*telemetry.Counter)
-	for _, route := range []string{"verify", "enroll", "voiceprint"} {
+	for _, route := range []string{"verify", "enroll", "voiceprint", "stream"} {
 		s.tooLarge[route] = r.Counter(MetricRequestTooLarge, telemetry.Labels{"route": route})
 	}
-	r.SetHelp(MetricRequestTooLarge, "uploads refused for exceeding the raw body cap, by route")
+	r.SetHelp(MetricRequestTooLarge, "uploads refused for exceeding the 64 MiB upload cap, by route (stream: a connection's frames)")
 	if s.maxInflight > 0 {
 		s.sem = make(chan struct{}, s.maxInflight)
 	}

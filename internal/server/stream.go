@@ -37,8 +37,12 @@ const DefStreamFrameTimeout = 30 * time.Second
 
 // streamDrainLimit bounds how long a connection keeps reading the frames
 // a client still sends after its session was decided early; the drained
-// bytes are bounded by protocol.MaxPayloadBytes as well.
+// bytes count toward the session's byte budget as well.
 const streamDrainLimit = 10 * time.Second
+
+// errStreamTooLarge refuses a connection whose frames pass the session
+// byte budget, protocol.MaxPayloadBytes: the same cap as an HTTP upload.
+var errStreamTooLarge = fmt.Errorf("server: stream session exceeds %d bytes", protocol.MaxPayloadBytes)
 
 // WithStreamFrameTimeout overrides the per-frame read deadline of the
 // streaming listener (default DefStreamFrameTimeout).
@@ -169,10 +173,12 @@ func (s *Server) shutdownStream(ctx context.Context) {
 	}
 }
 
-// readStreamFrame reads one frame under the per-frame deadline, or
-// under limit when that is set and comes first, counting it toward the
-// ingress metrics.
-func (s *Server) readStreamFrame(conn net.Conn, limit time.Time) (stream.Frame, error) {
+// readStreamFrame reads the connection's next frame under the per-frame
+// deadline, or under limit when that is set and comes first, counting it
+// toward the ingress metrics. The payload is valid until the next read;
+// once the connection's frames pass the session byte budget, the error
+// is errStreamTooLarge.
+func (s *Server) readStreamFrame(conn net.Conn, fr *stream.FrameReader, limit time.Time) (stream.Frame, error) {
 	deadline := time.Now().Add(s.streamFrameTimeout)
 	if !limit.IsZero() && limit.Before(deadline) {
 		deadline = limit
@@ -180,12 +186,15 @@ func (s *Server) readStreamFrame(conn net.Conn, limit time.Time) (stream.Frame, 
 	if err := conn.SetReadDeadline(deadline); err != nil {
 		return stream.Frame{}, fmt.Errorf("server: arming frame deadline: %w", err)
 	}
-	f, err := stream.ReadFrame(conn, 0)
+	f, err := fr.Next()
 	if err != nil {
 		return stream.Frame{}, err
 	}
 	s.streamFramesIn.Inc()
 	s.streamBytesIn.Add(f.WireSize())
+	if fr.WireBytes() > protocol.MaxPayloadBytes {
+		return stream.Frame{}, errStreamTooLarge
+	}
 	return f, nil
 }
 
@@ -219,7 +228,8 @@ func (s *Server) sendStreamError(conn net.Conn, traceID string, status, retryAft
 // handleStreamConn speaks one streaming verification session: handshake,
 // then streamSession, then the drain of frames still in flight after an
 // early decision, which runs after the session has given back its
-// admission slot.
+// admission slot. Both read through one FrameReader, so the connection
+// reuses one payload buffer and its session byte budget covers the drain.
 func (s *Server) handleStreamConn(conn net.Conn) {
 	if err := conn.SetDeadline(time.Now().Add(s.streamFrameTimeout)); err != nil {
 		return
@@ -235,8 +245,9 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 		return
 	}
 
-	if s.streamSession(conn) {
-		s.drainStream(conn)
+	fr := stream.NewFrameReader(conn, 0)
+	if s.streamSession(conn, fr) {
+		s.drainStream(conn, fr)
 	}
 }
 
@@ -246,8 +257,9 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 // frame, leaving frames to drain. Outcome accounting mirrors
 // handleVerify — every session that completes the handshake lands in
 // exactly one of accepted/rejected/errored/deadlined/shed, so the Stats
-// invariant holds across both transports.
-func (s *Server) streamSession(conn net.Conn) (early bool) {
+// invariant holds across both transports. No payload bytes are kept past
+// ApplyStreamFrame: the decoders copy out what the verifier keeps.
+func (s *Server) streamSession(conn net.Conn, fr *stream.FrameReader) (early bool) {
 	start := time.Now()
 	// The streaming session outlives any single read, so its context is
 	// rooted here and bounded by the verify timeout when configured.
@@ -285,7 +297,7 @@ func (s *Server) streamSession(conn net.Conn) (early bool) {
 
 	// The first frame must be the hello: it names the session before any
 	// evidence arrives.
-	first, err := s.readStreamFrame(conn, time.Time{})
+	first, err := s.readStreamFrame(conn, fr, time.Time{})
 	if err != nil {
 		fail("", http.StatusBadRequest, fmt.Sprintf("reading hello frame: %v", err))
 		return false
@@ -314,10 +326,15 @@ func (s *Server) streamSession(conn net.Conn) (early bool) {
 
 	frames := uint32(1)
 	for {
-		f, err := s.readStreamFrame(conn, time.Time{})
+		f, err := s.readStreamFrame(conn, fr, time.Time{})
 		if err != nil {
 			verifier.Abandon("error")
-			fail(traceID, http.StatusBadRequest, fmt.Sprintf("reading frame: %v", err))
+			status := http.StatusBadRequest
+			if errors.Is(err, errStreamTooLarge) {
+				s.tooLarge["stream"].Inc()
+				status = http.StatusRequestEntityTooLarge
+			}
+			fail(traceID, status, fmt.Sprintf("reading frame: %v", err))
 			return false
 		}
 		if f.Type == stream.TypeFinish {
@@ -421,15 +438,14 @@ func (s *Server) respondStream(conn net.Conn, decision *core.Decision, early boo
 // drainStream consumes frames still in flight after an early decision so
 // the client's writes do not error mid-upload. The finish frame (or the
 // client closing on receipt of the decision) ends the drain; the
-// per-frame deadline, streamDrainLimit and protocol.MaxPayloadBytes
-// bound it against a client that keeps sending.
-func (s *Server) drainStream(conn net.Conn) {
+// per-frame deadline, streamDrainLimit and the session byte budget bound
+// it against a client that keeps sending.
+func (s *Server) drainStream(conn net.Conn, fr *stream.FrameReader) {
 	deadline := time.Now().Add(streamDrainLimit)
-	for drained := int64(0); drained <= protocol.MaxPayloadBytes; {
-		f, err := s.readStreamFrame(conn, deadline)
+	for {
+		f, err := s.readStreamFrame(conn, fr, deadline)
 		if err != nil || f.Type == stream.TypeFinish {
 			return
 		}
-		drained += f.WireSize()
 	}
 }

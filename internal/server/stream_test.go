@@ -5,6 +5,7 @@ package server
 // observed end to end over a real TCP connection.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -27,7 +28,7 @@ import (
 // streamTestServer starts a server with a live streaming listener and
 // returns it with the bound address. Shutdown runs in cleanup and the
 // serve loop must exit with http.ErrServerClosed.
-func streamTestServer(t *testing.T, sys *core.System, opts ...Option) (*Server, string) {
+func streamTestServer(t testing.TB, sys *core.System, opts ...Option) (*Server, string) {
 	t.Helper()
 	if sys == nil {
 		var err error
@@ -87,7 +88,7 @@ func dialStream(t *testing.T, addr string) net.Conn {
 }
 
 // sessionFrames slices a session into its streaming frame sequence.
-func sessionFrames(t *testing.T, traceID string, session *core.SessionData) []stream.Frame {
+func sessionFrames(t testing.TB, traceID string, session *core.SessionData) []stream.Frame {
 	t.Helper()
 	req, err := protocol.FromSession(session, ranging.DefaultPilotHz)
 	if err != nil {
@@ -512,5 +513,48 @@ func TestStreamUndemodulatableCaptureRefused(t *testing.T) {
 	}
 	if st.Errors != int64(len(cases)) || st.Accepted != 0 || st.Rejected != 0 {
 		t.Errorf("stats = %+v, want %d errors and no verdicts", st, len(cases))
+	}
+}
+
+// BenchmarkStreamSession runs one genuine session per iteration over a
+// loopback stream connection: handshake, every frame, the decision. The
+// server runs in-process, so the allocation figures include its side of
+// the session.
+func BenchmarkStreamSession(b *testing.B) {
+	_, addr := streamTestServer(b, nil)
+	var wire bytes.Buffer
+	for _, f := range sessionFrames(b, "bench-genuine", genuineSession(b, 21)) {
+		if err := stream.WriteFrame(&wire, f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := stream.WriteHandshake(conn, stream.Version); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := stream.ReadHandshake(conn); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := conn.Write(wire.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+		reply, err := stream.ReadFrame(conn, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		conn.Close()
+		resp, _, err := protocol.DecisionFromStreamFrame(reply)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !resp.Accepted {
+			b.Fatalf("genuine session rejected: %+v", resp)
+		}
 	}
 }

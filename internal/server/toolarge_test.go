@@ -1,8 +1,9 @@
 package server
 
-// Satellite regression tests: oversized uploads answer 413 with the JSON
-// envelope on every decode route, and error outcomes carry their real
-// latency without ever polluting the latency-SLO windows.
+// Regression tests: oversized uploads answer 413 with the JSON envelope
+// on every decode route and on the streaming listener, and error
+// outcomes carry their real latency without ever polluting the
+// latency-SLO windows.
 
 import (
 	"bytes"
@@ -17,7 +18,9 @@ import (
 	"voiceguard/internal/audio"
 	"voiceguard/internal/core"
 	"voiceguard/internal/protocol"
+	"voiceguard/internal/ranging"
 	"voiceguard/internal/speech"
+	"voiceguard/internal/stream"
 	"voiceguard/internal/telemetry"
 )
 
@@ -93,6 +96,61 @@ func TestOversizedUploadsAnswer413(t *testing.T) {
 	st := srv.Stats()
 	if st.Errors == 0 || st.Accepted != 0 || st.Rejected != 0 {
 		t.Errorf("stats = %+v, want errors only", st)
+	}
+}
+
+// TestStreamSessionOverByteBudgetAnswers413 streams full-size audio
+// chunks that never close their channel, past the byte budget an HTTP
+// upload has (protocol.MaxPayloadBytes). Each frame is under the frame
+// cap, so only a per-session budget can stop it: the listener must
+// answer 413 and count an error outcome, never a verdict.
+func TestStreamSessionOverByteBudgetAnswers413(t *testing.T) {
+	// A short frame timeout: a listener without a session budget waits
+	// for the next frame, then times out with a 400.
+	srv, addr := streamTestServer(t, nil, WithStreamFrameTimeout(5*time.Second))
+	conn := dialStream(t, addr)
+	hello, err := stream.EncodeHello(stream.Hello{
+		TraceID: "stream-too-large", ClaimedUser: "victim", PilotHz: ranging.DefaultPilotHz,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stream.WriteFrame(conn, stream.Frame{Type: stream.TypeHello, Payload: hello}); err != nil {
+		t.Fatal(err)
+	}
+	// The largest audio chunk a frame can carry: 13 header bytes plus
+	// eight per sample.
+	var chunk bytes.Buffer
+	if err := stream.WriteFrame(&chunk, stream.Frame{Type: stream.TypeAudioChunk, Payload: stream.EncodeAudioChunk(stream.AudioChunk{
+		Kind: stream.AudioVoice, Rate: 16000, Samples: make([]float64, (stream.DefMaxFrameBytes-13)/8),
+	})}); err != nil {
+		t.Fatal(err)
+	}
+	for sent := int64(0); sent <= protocol.MaxPayloadBytes; sent += int64(chunk.Len()) {
+		if _, err := conn.Write(chunk.Bytes()); err != nil {
+			t.Fatalf("writing chunk after %d bytes: %v", sent, err)
+		}
+	}
+	reply, err := stream.ReadFrame(conn, 0)
+	if err != nil {
+		t.Fatalf("reading reply: %v", err)
+	}
+	status, _, resp, err := protocol.ErrorFromStreamFrame(reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-budget stream status = %d (%q), want 413", status, resp.Error)
+	}
+	if resp.TraceID != "stream-too-large" {
+		t.Errorf("trace ID = %q", resp.TraceID)
+	}
+	if got := srv.tooLarge["stream"].Value(); got != 1 {
+		t.Errorf("too-large counter for stream = %d, want 1", got)
+	}
+	st := srv.Stats()
+	if st.Requests != 1 || st.Errors != 1 || st.Accepted != 0 || st.Rejected != 0 {
+		t.Errorf("stats = %+v, want one errored request", st)
 	}
 }
 

@@ -177,13 +177,49 @@ func WriteFrame(w io.Writer, f Frame) error {
 // ReadFrame reads one frame, enforcing maxPayload (0 uses
 // DefMaxFrameBytes) before allocating and verifying the trailing CRC
 // before returning. Errors wrap the sentinel protocol errors above;
-// anything else is a transport failure.
+// anything else is a transport failure. The payload is freshly
+// allocated; a caller reading many frames from one stream should use a
+// FrameReader instead.
 func ReadFrame(r io.Reader, maxPayload uint64) (Frame, error) {
+	return NewFrameReader(r, maxPayload).Next()
+}
+
+// FrameReader reads a sequence of frames from one byte stream into a
+// payload buffer it reuses. It enforces the payload cap before growing
+// that buffer and verifies each frame's CRC before returning it, exactly
+// as strictly as ReadFrame.
+//
+// The Payload of a returned Frame aliases the buffer and is valid only
+// until the next call to Next: a caller must copy out whatever it keeps.
+// The payload decoders in this package do (strings, digests and sample
+// slices never alias their input), so decoding a frame before reading
+// the next one is always safe.
+type FrameReader struct {
+	r         io.Reader
+	max       uint64
+	header    [10]byte
+	trailer   [4]byte
+	buf       []byte
+	wireBytes int64
+}
+
+// NewFrameReader reads frames from r, enforcing maxPayload (0 uses
+// DefMaxFrameBytes).
+func NewFrameReader(r io.Reader, maxPayload uint64) *FrameReader {
 	if maxPayload == 0 {
 		maxPayload = DefMaxFrameBytes
 	}
-	var header [10]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+	return &FrameReader{r: r, max: maxPayload}
+}
+
+// WireBytes returns the on-wire size of every frame Next has returned.
+func (fr *FrameReader) WireBytes() int64 { return fr.wireBytes }
+
+// Next reads one frame. Errors wrap the sentinel protocol errors above;
+// anything else is a transport failure.
+func (fr *FrameReader) Next() (Frame, error) {
+	header := fr.header[:]
+	if _, err := io.ReadFull(fr.r, header); err != nil {
 		return Frame{}, fmt.Errorf("stream: reading frame header: %w", err)
 	}
 	f := Frame{Type: FrameType(header[0]), Flags: header[1]}
@@ -191,25 +227,26 @@ func ReadFrame(r io.Reader, maxPayload uint64) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: type %d", ErrUnknownFrame, header[0])
 	}
 	length := binary.LittleEndian.Uint64(header[2:])
-	if length > maxPayload {
+	if length > fr.max {
 		return Frame{}, fmt.Errorf("%w: %v frame declares %d payload bytes (limit %d)",
-			ErrFrameTooBig, f.Type, length, maxPayload)
+			ErrFrameTooBig, f.Type, length, fr.max)
 	}
 	if length > 0 {
-		f.Payload = make([]byte, length)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
+		if uint64(cap(fr.buf)) < length {
+			fr.buf = make([]byte, length)
+		}
+		f.Payload = fr.buf[:length]
+		if _, err := io.ReadFull(fr.r, f.Payload); err != nil {
 			return Frame{}, fmt.Errorf("stream: reading %v frame payload: %w", f.Type, err)
 		}
 	}
-	var trailer [4]byte
-	if _, err := io.ReadFull(r, trailer[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.trailer[:]); err != nil {
 		return Frame{}, fmt.Errorf("stream: reading %v frame checksum: %w", f.Type, err)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(header[:2])
-	crc.Write(f.Payload)
-	if crc.Sum32() != binary.LittleEndian.Uint32(trailer[:]) {
+	crc := crc32.Update(crc32.ChecksumIEEE(header[:2]), crc32.IEEETable, f.Payload)
+	if crc != binary.LittleEndian.Uint32(fr.trailer[:]) {
 		return Frame{}, fmt.Errorf("%w: %v frame", ErrChecksum, f.Type)
 	}
+	fr.wireBytes += f.WireSize()
 	return f, nil
 }

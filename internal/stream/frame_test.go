@@ -212,3 +212,44 @@ func TestSessionDigestDetectsReorderAndTamper(t *testing.T) {
 		t.Fatalf("Frames() = %d, want 2", d.Frames())
 	}
 }
+
+// TestFrameReaderReusesItsBuffer pins the point of FrameReader: once its
+// buffer has grown to the largest payload, reading a frame allocates
+// nothing, and the wire-byte count covers every returned frame.
+func TestFrameReaderReusesItsBuffer(t *testing.T) {
+	f := Frame{Type: TypeAudioChunk, Payload: EncodeAudioChunk(AudioChunk{
+		Kind: AudioCapture, Rate: 44100, Samples: make([]float64, DefAudioChunkSamples),
+	})}
+	const frames = 202
+	var buf bytes.Buffer
+	for i := 0; i < frames; i++ {
+		if err := WriteFrame(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(bytes.NewReader(buf.Bytes()), 0)
+	if _, err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(frames-2, func() {
+		var got Frame
+		if got, err = fr.Next(); err == nil && !bytes.Equal(got.Payload, f.Payload) {
+			err = errors.New("payload mismatch")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("Next allocates %v times per frame with a warm buffer, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call on top of its runs, so the
+	// reader has now returned every frame.
+	if want := int64(frames) * f.WireSize(); fr.WireBytes() != want {
+		t.Errorf("WireBytes = %d after %d frames, want %d", fr.WireBytes(), frames, want)
+	}
+	if _, err := fr.Next(); !errors.Is(err, io.EOF) {
+		t.Errorf("Next past the last frame = %v, want io.EOF", err)
+	}
+}

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// FuzzReadFrame drives the frame decoder with arbitrary byte streams:
-// ReadFrame must never panic, never allocate past the payload cap, and
-// any frame it accepts must survive a write/read round trip bit-for-bit.
-func FuzzReadFrame(f *testing.F) {
+// fuzzSeeds is the seed corpus both frame fuzzers share: one valid frame
+// of every type, each also truncated mid-frame and with a corrupt CRC
+// trailer, a hostile length prefix, and degenerate inputs.
+func fuzzSeeds(f *testing.F) [][]byte {
 	wire := func(fr Frame) []byte {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, fr); err != nil {
@@ -38,19 +38,25 @@ func FuzzReadFrame(f *testing.F) {
 		wire(Frame{Type: TypeDecision, Payload: []byte(`{"accepted":false}`), Flags: FlagEarly}),
 		wire(Frame{Type: TypeError, Payload: EncodeError(ErrorInfo{Status: 503, RetryAfterSec: 1, Envelope: []byte(`{}`)})}),
 	}
+	var seeds [][]byte
 	for _, raw := range valid {
-		f.Add(raw)
-		f.Add(raw[:len(raw)/2]) // truncated mid-frame
 		corrupt := bytes.Clone(raw)
 		corrupt[len(corrupt)-1] ^= 0xff // corrupt digest/CRC trailer
-		f.Add(corrupt)
+		seeds = append(seeds, raw, raw[:len(raw)/2], corrupt)
 	}
 	oversized := make([]byte, 10)
 	oversized[0] = byte(TypeAudioChunk)
 	binary.LittleEndian.PutUint64(oversized[2:], 1<<40)
-	f.Add(oversized)
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff})
+	return append(seeds, oversized, []byte{}, []byte{0xff, 0xff})
+}
+
+// FuzzReadFrame drives the frame decoder with arbitrary byte streams:
+// ReadFrame must never panic, never allocate past the payload cap, and
+// any frame it accepts must survive a write/read round trip bit-for-bit.
+func FuzzReadFrame(f *testing.F) {
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const payloadCap = 1 << 16
@@ -89,6 +95,53 @@ func FuzzReadFrame(f *testing.F) {
 			_, _ = DecodeFinish(got.Payload)
 		case TypeError:
 			_, _ = DecodeError(got.Payload)
+		}
+	})
+}
+
+// FuzzFrameReaderMatchesReadFrame holds the listener's buffer-reusing
+// reader to ReadFrame: read frame by frame through both, every frame's
+// type, flags, payload bytes and error must match, so a reused buffer
+// never changes what is decoded.
+func FuzzFrameReaderMatchesReadFrame(f *testing.F) {
+	seeds := fuzzSeeds(f)
+	for _, seed := range seeds {
+		f.Add(seed)
+	}
+	// Multi-frame streams: a payload followed by a smaller one is where
+	// stale bytes from an earlier frame would show. Every third seed is
+	// an intact frame.
+	var forward, backward []byte
+	for i := 0; i+2 < len(seeds); i += 3 {
+		forward = append(forward, seeds[i]...)
+		backward = append(bytes.Clone(seeds[i]), backward...)
+	}
+	var big bytes.Buffer
+	if err := WriteFrame(&big, Frame{Type: TypeAudioChunk, Payload: EncodeAudioChunk(AudioChunk{
+		Kind: AudioVoice, Rate: 16000, Samples: make([]float64, 512),
+	})}); err != nil {
+		f.Fatalf("seed WriteFrame: %v", err)
+	}
+	f.Add(forward)
+	f.Add(backward)
+	f.Add(append(big.Bytes(), forward...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const payloadCap = 1 << 16
+		ref := bytes.NewReader(data)
+		fr := NewFrameReader(bytes.NewReader(data), payloadCap)
+		for i := 0; ; i++ {
+			want, wantErr := ReadFrame(ref, payloadCap)
+			got, gotErr := fr.Next()
+			if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+				t.Fatalf("frame %d: ReadFrame error %v, FrameReader error %v", i, wantErr, gotErr)
+			}
+			if wantErr != nil {
+				return
+			}
+			if got.Type != want.Type || got.Flags != want.Flags || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("frame %d diverged: ReadFrame %+v, FrameReader %+v", i, want, got)
+			}
 		}
 	})
 }
