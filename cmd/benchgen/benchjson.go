@@ -5,6 +5,7 @@ package main
 // repo can track pipeline latency without parsing `go test -bench` text.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -14,11 +15,13 @@ import (
 	"sync"
 	"time"
 
+	"voiceguard/internal/attack"
 	"voiceguard/internal/audio"
 	"voiceguard/internal/dsp"
 	"voiceguard/internal/experiment"
 	"voiceguard/internal/features"
 	"voiceguard/internal/gmm"
+	"voiceguard/internal/protocol"
 	"voiceguard/internal/ranging"
 	"voiceguard/internal/speech"
 )
@@ -124,6 +127,25 @@ func benchJSONRows(seed int64) ([]benchRow, error) {
 		return nil, fmt.Errorf("simulating bench ranging capture: %w", err)
 	}
 
+	// The served HTTP bodies: a genuine session and its voice alone,
+	// gzipped by the client's encoders.
+	session, err := attack.Genuine(speech.RandomProfile("victim", rand.New(rand.NewSource(seed))), attack.Scenario{Seed: seed})
+	if err != nil {
+		return nil, fmt.Errorf("building bench session: %w", err)
+	}
+	req, err := protocol.FromSession(session, ranging.DefaultPilotHz)
+	if err != nil {
+		return nil, fmt.Errorf("converting bench session: %w", err)
+	}
+	verifyBody, err := protocol.EncodeRequest(req)
+	if err != nil {
+		return nil, fmt.Errorf("encoding bench request: %w", err)
+	}
+	voiceprintBody, err := protocol.EncodeVoiceprint(&protocol.VoiceprintRequest{ClaimedUser: req.ClaimedUser, VoiceWAV: req.VoiceWAV})
+	if err != nil {
+		return nil, fmt.Errorf("encoding bench voiceprint request: %w", err)
+	}
+
 	var rows []benchRow
 	for _, spec := range []struct {
 		name  string
@@ -164,6 +186,14 @@ func benchJSONRows(seed int64) ([]benchRow, error) {
 		}},
 		{"micro/ranging.Recover", 50, func() error {
 			_, err := ranging.Recover(capture, ranging.RecoverConfig{Freq: ranging.DefaultPilotHz})
+			return err
+		}},
+		{"micro/protocol.DecodeRequest", 20, func() error {
+			_, err := protocol.DecodeRequest(bytes.NewReader(verifyBody))
+			return err
+		}},
+		{"micro/protocol.DecodeVoiceprint", 50, func() error {
+			_, err := protocol.DecodeVoiceprint(bytes.NewReader(voiceprintBody))
 			return err
 		}},
 		{"experiment/table1", 1, func() error {

@@ -80,6 +80,7 @@ func TestWriteBenchJSONShape(t *testing.T) {
 		"micro/features.Extract", "experiment/table1",
 		"micro/gmm.TopCShortlist", "micro/gmm.ScoringModelCompile",
 		"batch/asv.BatchedVerify", "micro/ranging.Recover",
+		"micro/protocol.DecodeRequest", "micro/protocol.DecodeVoiceprint",
 	} {
 		if !seen[want] {
 			t.Fatalf("missing row %q", want)

@@ -9,8 +9,6 @@ package protocol
 // json.Unmarshal.
 
 import (
-	"bufio"
-	"compress/gzip"
 	"encoding/base64"
 	"fmt"
 	"io"
@@ -19,14 +17,14 @@ import (
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"voiceguard/internal/gunzip"
 )
 
 // maxDepth is encoding/json's nesting limit, counted from the root.
 const maxDepth = 10000
 
 const (
-	// readBufSize is the window over the inflated stream.
-	readBufSize = 32 << 10
 	// b64Batch is how many base64 characters are decoded at a time; a
 	// multiple of 4, so a batch without padding decodes on its own.
 	b64Batch = 4 << 10
@@ -69,9 +67,13 @@ func isNumberByte(c byte) bool {
 	return '0' <= c && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
 }
 
-// decoder reads one JSON document from an inflated request body.
+// decoder reads one JSON document from an inflated request body, in
+// place in the inflater's window.
 type decoder struct {
-	r *bufio.Reader
+	z *gunzip.Reader
+	// left is how many more inflated bytes the size cap lets through:
+	// MaxPayloadBytes+1 at the start, so reaching 0 breaches the cap.
+	left int64
 	// rerr is the first read error other than the end of the stream.
 	rerr error
 	// what names the request in errors.
@@ -95,26 +97,25 @@ type decoder struct {
 // it replaced, a read error outranks a size-cap breach, which outranks
 // a parse error: a malformed document is still read to its end.
 func decodeBody(r io.Reader, what string, member func(d *decoder, key []byte, c byte) error) error {
-	zr, err := gzip.NewReader(r)
+	zr, err := gunzip.NewReader(r)
 	if err != nil {
 		return fmt.Errorf("protocol: opening gzip stream: %w", err)
 	}
-	defer zr.Close()
-	limited := &io.LimitedReader{R: zr, N: MaxPayloadBytes + 1}
-	d := &decoder{
-		r:    bufio.NewReaderSize(limited, readBufSize),
-		what: what,
-	}
+	d := &decoder{z: zr, left: MaxPayloadBytes + 1, what: what}
 	perr := d.document(member)
 	if perr != nil && d.rerr == nil {
-		if _, err := io.Copy(io.Discard, d.r); err != nil {
-			d.rerr = err
+		for {
+			buf, err := d.window()
+			if err != nil {
+				break // window records a read error
+			}
+			d.discard(len(buf))
 		}
 	}
 	switch {
 	case d.rerr != nil:
 		return fmt.Errorf("protocol: reading %s: %w", what, d.rerr)
-	case limited.N == 0:
+	case d.left == 0:
 		return ErrTooLarge
 	case perr != nil:
 		return perr
@@ -175,32 +176,41 @@ func (d *decoder) fail(err error) error {
 	return err
 }
 
-// window returns the buffered bytes, reading more when none are left;
-// io.EOF marks the end of the stream.
+// window returns the inflated bytes not yet consumed, inflating more
+// when none are left; io.EOF marks the end of the stream or of the size
+// cap. Once the cap is reached, an error the inflater meets before its
+// next byte still counts, as it did when the cap's last byte came in
+// the same read as the error.
 func (d *decoder) window() ([]byte, error) {
-	if n := d.r.Buffered(); n > 0 {
-		return d.r.Peek(n)
-	}
-	if _, err := d.r.Peek(1); err != nil {
+	buf, err := d.z.Peek()
+	if err != nil {
 		if err != io.EOF && d.rerr == nil {
 			d.rerr = err
 		}
 		return nil, err
 	}
-	return d.r.Peek(d.r.Buffered())
+	if int64(len(buf)) > d.left {
+		buf = buf[:d.left]
+	}
+	if len(buf) == 0 {
+		return nil, io.EOF
+	}
+	return buf, nil
 }
 
 // discard drops n bytes that window returned.
 func (d *decoder) discard(n int) {
-	_, _ = d.r.Discard(n) // n never exceeds the buffered bytes
+	d.z.Discard(n)
+	d.left -= int64(n)
 }
 
 func (d *decoder) readByte() (byte, error) {
-	c, err := d.r.ReadByte()
+	buf, err := d.window()
 	if err != nil {
 		return 0, d.fail(err)
 	}
-	return c, nil
+	d.discard(1)
+	return buf[0], nil
 }
 
 func (d *decoder) nonSpace() (byte, error) {

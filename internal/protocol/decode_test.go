@@ -3,8 +3,10 @@ package protocol
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"reflect"
 	"strings"
@@ -75,6 +77,19 @@ func TestTooLarge(t *testing.T) {
 	// The size cap outranks a malformed document, as when the whole body
 	// was read before parsing.
 	malformedOverCap := paddedBody(t, "x", MaxPayloadBytes+1)
+	// A checksum error met with the byte that breaches the cap still
+	// outranks the cap; one met only past it is never read. The three
+	// decoders share this path, so one of them checks it.
+	badCRCOverCap := paddedBody(t, minimalBody, MaxPayloadBytes+1)
+	badCRCOverCap[len(badCRCOverCap)-8] ^= 0xff
+	if err := bodyDecoders[0].decode(bytes.NewReader(badCRCOverCap)); !errors.Is(err, gzip.ErrChecksum) {
+		t.Errorf("body of MaxPayloadBytes+1 with a bad CRC-32 = %v, want gzip.ErrChecksum", err)
+	}
+	badCRCPastCap := paddedBody(t, minimalBody, MaxPayloadBytes+2)
+	badCRCPastCap[len(badCRCPastCap)-8] ^= 0xff
+	if err := bodyDecoders[0].decode(bytes.NewReader(badCRCPastCap)); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("body of MaxPayloadBytes+2 with a bad CRC-32 = %v, want ErrTooLarge", err)
+	}
 	for _, dec := range bodyDecoders {
 		if err := dec.decode(bytes.NewReader(atCap)); err != nil {
 			t.Errorf("%s: body of exactly MaxPayloadBytes refused: %v", dec.name, err)
@@ -88,8 +103,41 @@ func TestTooLarge(t *testing.T) {
 	}
 }
 
+// Optional gzip header fields (RFC 1952 §2.3.1).
+const (
+	flagHdrCrc  = 1 << 1
+	flagExtra   = 1 << 2
+	flagName    = 1 << 3
+	flagComment = 1 << 4
+)
+
+// headerMember gzips doc into one member whose header carries the
+// fields flg names: extra under FEXTRA, name under FNAME, comment under
+// FCOMMENT, and under FHCRC the header's CRC-16 XORed with crcXor.
+func headerMember(t testing.TB, doc []byte, flg byte, extra, name, comment string, crcXor uint16) []byte {
+	t.Helper()
+	hdr := []byte{0x1f, 0x8b, 8, flg, 0, 0, 0, 0, 0, 255}
+	if flg&flagExtra != 0 {
+		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(extra)))
+		hdr = append(hdr, extra...)
+	}
+	if flg&flagName != 0 {
+		hdr = append(append(hdr, name...), 0)
+	}
+	if flg&flagComment != 0 {
+		hdr = append(append(hdr, comment...), 0)
+	}
+	if flg&flagHdrCrc != 0 {
+		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(crc32.ChecksumIEEE(hdr))^crcXor)
+	}
+	// gzip.Writer writes a bare 10-byte header when no field is set.
+	return append(hdr, gzipMember(t, doc)[10:]...)
+}
+
 func TestGzipFraming(t *testing.T) {
 	valid := gzipMember(t, []byte(minimalBody))
+	doc := []byte(minimalBody)
+	allFields := byte(flagHdrCrc | flagExtra | flagName | flagComment)
 	corrupt := func(off int) []byte {
 		b := bytes.Clone(valid)
 		b[len(b)+off] ^= 0xff
@@ -122,6 +170,25 @@ func TestGzipFraming(t *testing.T) {
 		{"garbage after the member", append(bytes.Clone(valid), "junk"...), false, nil},
 		{"empty document", gzipMember(t, nil), false, nil},
 		{"not gzip", []byte(minimalBody), false, nil},
+		// Optional header fields are skipped; FHCRC is checked, and
+		// names are capped at 511 bytes plus the NUL.
+		{"FEXTRA", headerMember(t, doc, flagExtra, "AB\x04\x00data", "", "", 0), true, nil},
+		{"FNAME", headerMember(t, doc, flagName, "", "session.json", "", 0), true, nil},
+		{"FCOMMENT", headerMember(t, doc, flagComment, "", "", "from the phone", 0), true, nil},
+		{"FHCRC", headerMember(t, doc, flagHdrCrc, "", "", "", 0), true, nil},
+		{"every optional field", headerMember(t, doc, allFields, "x", "n\xe9", "c", 0), true, nil},
+		{"FNAME of 511 bytes", headerMember(t, doc, flagName, "", strings.Repeat("n", 511), "", 0), true, nil},
+		{"wrong FHCRC", headerMember(t, doc, allFields, "x", "n", "c", 1), false, gzip.ErrHeader},
+		{"FNAME over 512 bytes", headerMember(t, doc, flagName, "", strings.Repeat("n", 512), "", 0), false, gzip.ErrHeader},
+		{"FCOMMENT over 512 bytes", headerMember(t, doc, flagComment, "", "", strings.Repeat("c", 600), 0), false, gzip.ErrHeader},
+		{"truncated FEXTRA", headerMember(t, doc, flagExtra, "", "", "", 0)[:11], false, io.ErrUnexpectedEOF},
+		{"truncated FNAME", headerMember(t, doc, flagName, "", "session.json", "", 0)[:15], false, io.ErrUnexpectedEOF},
+		{"truncated second-member header",
+			append(gzipMember(t, []byte(minimalBody)), gzipMember(t, nil)[:5]...), false, io.ErrUnexpectedEOF},
+		{"second member with every optional field",
+			append(gzipMember(t, []byte(minimalBody[:split])), headerMember(t, []byte(minimalBody[split:]), allFields, "x", "n", "c", 0)...), true, nil},
+		{"second member with a wrong FHCRC",
+			append(gzipMember(t, []byte(minimalBody[:split])), headerMember(t, []byte(minimalBody[split:]), flagHdrCrc, "", "", "", 0x100)...), false, gzip.ErrHeader},
 	}
 	for _, tc := range cases {
 		for _, dec := range bodyDecoders {

@@ -213,6 +213,19 @@ func TestSessionDigestDetectsReorderAndTamper(t *testing.T) {
 	}
 }
 
+// TestSessionDigestAddDoesNotAllocate pins that folding a frame into
+// the digest costs no allocation: both listeners do it for every frame.
+func TestSessionDigestAddDoesNotAllocate(t *testing.T) {
+	f := Frame{Type: TypeSensorChunk, Flags: FlagLast, Payload: EncodeSensorChunk(SensorChunk{Kind: SensorMag})}
+	d := NewSessionDigest()
+	if allocs := testing.AllocsPerRun(100, func() { d.Add(f) }); allocs != 0 {
+		t.Errorf("Add allocates %v times per frame, want 0", allocs)
+	}
+	if d.Frames() != 101 {
+		t.Errorf("Frames() = %d after 101 adds, want 101", d.Frames())
+	}
+}
+
 // TestFrameReaderReusesItsBuffer pins the point of FrameReader: once its
 // buffer has grown to the largest payload, reading a frame allocates
 // nothing, and the wire-byte count covers every returned frame.

@@ -451,6 +451,10 @@ func DecodeError(p []byte) (ErrorInfo, error) {
 type SessionDigest struct {
 	hasher hash.Hash
 	frames uint32
+	// head holds a frame's type and flags on their way to the hasher:
+	// a slice of a local would escape through the hash.Hash interface
+	// and cost an allocation per frame.
+	head [2]byte
 }
 
 // NewSessionDigest returns an empty session digest.
@@ -460,7 +464,8 @@ func NewSessionDigest() *SessionDigest {
 
 // Add folds one data frame into the digest.
 func (d *SessionDigest) Add(f Frame) {
-	d.hasher.Write([]byte{byte(f.Type), f.Flags})
+	d.head = [2]byte{byte(f.Type), f.Flags}
+	d.hasher.Write(d.head[:])
 	d.hasher.Write(f.Payload)
 	d.frames++
 }
