@@ -81,7 +81,7 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8443", "listen address")
 	flag.StringVar(&cfg.streamAddr, "stream-addr", "", "also serve the binary streaming verification protocol on this TCP address (see PROTOCOL.md; empty = disabled)")
-	flag.DurationVar(&cfg.streamFrameTO, "stream-frame-timeout", 0, "per-frame read/write deadline on streaming sessions (0 = default 30s)")
+	flag.DurationVar(&cfg.streamFrameTO, "stream-frame-timeout", 0, "per-frame read/write deadline on streaming sessions, and the idle deadline of each HTTP request body read (0 = default 30s)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "training seed")
 	flag.BoolVar(&cfg.withASV, "asv", false, "train and attach the ASV (speaker-identity) stage")
 	flag.StringVar(&cfg.enrollSpec, "enroll", "", "comma-separated user:seed=N pairs to enroll synthetic users")

@@ -55,24 +55,36 @@ func WriteWAV(w io.Writer, s *Signal) error {
 }
 
 // ReadWAV decodes a 16-bit mono PCM WAV stream produced by WriteWAV (or any
-// compatible encoder).
+// compatible encoder). It reads r to its end and decodes that with
+// DecodeWAV.
 func ReadWAV(r io.Reader) (*Signal, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadWAV, err)
+	}
+	return DecodeWAV(b)
+}
+
+// DecodeWAV decodes a 16-bit mono PCM WAV file held in b, converting the
+// samples straight from it. A truncated part fails with the error
+// io.ReadFull would give reading it from a stream: io.EOF when nothing
+// of it is left, else io.ErrUnexpectedEOF; a truncated chunk it skips
+// fails with io.EOF.
+func DecodeWAV(b []byte) (*Signal, error) {
+	hdr, b, err := cut(b, 12)
+	if err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrBadWAV, err)
 	}
 	if string(hdr[0:4]) != "RIFF" || string(hdr[8:12]) != "WAVE" {
 		return nil, fmt.Errorf("%w: missing RIFF/WAVE magic", ErrBadWAV)
 	}
 	var (
-		rate     uint32
-		bits     uint16
-		channels uint16
-		sawFmt   bool
+		rate   uint32
+		sawFmt bool
 	)
 	for {
-		var chunk [8]byte
-		if _, err := io.ReadFull(r, chunk[:]); err != nil {
+		var chunk, body []byte
+		if chunk, b, err = cut(b, 8); err != nil {
 			return nil, fmt.Errorf("%w: truncated chunk header: %v", ErrBadWAV, err)
 		}
 		id := string(chunk[0:4])
@@ -82,14 +94,13 @@ func ReadWAV(r io.Reader) (*Signal, error) {
 			if size < 16 {
 				return nil, fmt.Errorf("%w: fmt chunk too small", ErrBadWAV)
 			}
-			body := make([]byte, size)
-			if _, err := io.ReadFull(r, body); err != nil {
+			if body, b, err = cut(b, uint64(size)); err != nil {
 				return nil, fmt.Errorf("%w: truncated fmt chunk: %v", ErrBadWAV, err)
 			}
 			format := binary.LittleEndian.Uint16(body[0:2])
-			channels = binary.LittleEndian.Uint16(body[2:4])
+			channels := binary.LittleEndian.Uint16(body[2:4])
 			rate = binary.LittleEndian.Uint32(body[4:8])
-			bits = binary.LittleEndian.Uint16(body[14:16])
+			bits := binary.LittleEndian.Uint16(body[14:16])
 			if format != 1 {
 				return nil, fmt.Errorf("%w: unsupported format %d (want PCM)", ErrBadWAV, format)
 			}
@@ -104,22 +115,32 @@ func ReadWAV(r io.Reader) (*Signal, error) {
 			if !sawFmt {
 				return nil, fmt.Errorf("%w: data chunk before fmt", ErrBadWAV)
 			}
-			body := make([]byte, size)
-			if _, err := io.ReadFull(r, body); err != nil {
+			if body, _, err = cut(b, uint64(size)); err != nil {
 				return nil, fmt.Errorf("%w: truncated data chunk: %v", ErrBadWAV, err)
 			}
-			n := int(size) / 2
-			s := &Signal{Samples: make([]float64, n), Rate: float64(rate)}
-			for i := 0; i < n; i++ {
+			s := &Signal{Samples: make([]float64, len(body)/2), Rate: float64(rate)}
+			for i := range s.Samples {
 				v := int16(binary.LittleEndian.Uint16(body[2*i:]))
 				s.Samples[i] = float64(v) / 32767
 			}
 			return s, nil
 		default:
 			// Skip unknown chunks (LIST, etc.).
-			if _, err := io.CopyN(io.Discard, r, int64(size)); err != nil {
-				return nil, fmt.Errorf("%w: truncated %q chunk: %v", ErrBadWAV, id, err)
+			if uint64(size) > uint64(len(b)) {
+				return nil, fmt.Errorf("%w: truncated %q chunk: %v", ErrBadWAV, id, io.EOF)
 			}
+			b = b[size:]
 		}
 	}
+}
+
+// cut splits the first n bytes off b.
+func cut(b []byte, n uint64) (head, rest []byte, err error) {
+	switch {
+	case n <= uint64(len(b)):
+		return b[:n], b[n:], nil
+	case len(b) == 0:
+		return nil, nil, io.EOF
+	}
+	return nil, nil, io.ErrUnexpectedEOF
 }

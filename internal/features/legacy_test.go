@@ -145,6 +145,45 @@ func TestExtractMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestPreEmphasisInFrameLoop pins the per-frame pre-emphasis to the
+// path it replaced: the whole signal pre-emphasized by
+// audio.PreEmphasis, then framed without emphasis. Every coefficient
+// must keep its bits.
+func TestPreEmphasisInFrameLoop(t *testing.T) {
+	sig := benchUtterance(t, 1.2)
+	for _, cfg := range []MFCCConfig{
+		DefaultMFCCConfig(),
+		{FrameLength: 0.025, FrameShift: 0.010, NumFilters: 24, NumCoeffs: 19,
+			LowFreq: 60, PreEmphasis: 0.97},
+		{FrameLength: 0.020, FrameShift: 0.010, NumFilters: 20, NumCoeffs: 12,
+			LowFreq: 100, HighFreq: 6000, Deltas: true},
+	} {
+		pre, plain := sig, cfg
+		if cfg.PreEmphasis > 0 {
+			pre = &audio.Signal{Samples: audio.PreEmphasis(sig.Samples, cfg.PreEmphasis), Rate: sig.Rate}
+			plain.PreEmphasis = 0
+		}
+		want, err := Extract(pre, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Extract(sig, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("cfg %+v: %d rows, want %d", cfg, len(got), len(want))
+		}
+		for i := range want {
+			for d := range want[i] {
+				if math.Float64bits(got[i][d]) != math.Float64bits(want[i][d]) {
+					t.Fatalf("cfg %+v row %d dim %d: %v, want %v", cfg, i, d, got[i][d], want[i][d])
+				}
+			}
+		}
+	}
+}
+
 // TestExtractDeterministic pins the fan-out determinism contract: repeat
 // runs must be bit-identical. (-cpu=1,4 in CI varies the worker count.)
 func TestExtractDeterministic(t *testing.T) {

@@ -104,11 +104,9 @@ func ExtractSpan(span *telemetry.Span, s *audio.Signal, cfg MFCCConfig) ([][]flo
 	}
 	frameLen := int(cfg.FrameLength * s.Rate)
 	frameShift := int(cfg.FrameShift * s.Rate)
-	samples := s.Samples
-	if cfg.PreEmphasis > 0 {
-		samples = audio.PreEmphasis(samples, cfg.PreEmphasis)
-	}
-	frames := audio.Frame(samples, frameLen, frameShift)
+	// Frames are views of the raw samples; pre-emphasis is applied per
+	// frame below, as audio.PreEmphasis would, without a copy.
+	frames := audio.Frame(s.Samples, frameLen, frameShift)
 	if len(frames) < 2 {
 		return nil, ErrTooShort
 	}
@@ -143,9 +141,22 @@ func ExtractSpan(span *telemetry.Span, s *audio.Signal, cfg MFCCConfig) ([][]flo
 		for fi := lo; fi < hi; fi++ {
 			frame := frames[fi]
 			var energy float64
-			for i := 0; i < frameLen; i++ {
-				xbuf[i] = frame[i] * win[i]
-				energy += frame[i] * frame[i]
+			if alpha := cfg.PreEmphasis; alpha > 0 {
+				var prev float64 // the sample before the frame; 0 before the first
+				if start := fi * frameShift; start > 0 {
+					prev = s.Samples[start-1]
+				}
+				for i := 0; i < frameLen; i++ {
+					v := frame[i] - alpha*prev
+					prev = frame[i]
+					xbuf[i] = v * win[i]
+					energy += v * v
+				}
+			} else {
+				for i := 0; i < frameLen; i++ {
+					xbuf[i] = frame[i] * win[i]
+					energy += frame[i] * frame[i]
+				}
 			}
 			if err := plan.RealPower(power, xbuf); err != nil {
 				// Plan and buffer sizes are fixed above, so this is

@@ -308,6 +308,10 @@ func (z *Reader) Peek() ([]byte, error) {
 // Discard consumes the first n bytes Peek returned.
 func (z *Reader) Discard(n int) { z.rp += n }
 
+// Done reports whether the stream has ended or failed: what Peek
+// returns now is the last of the data.
+func (z *Reader) Done() bool { return z.err != nil }
+
 func (z *Reader) Read(p []byte) (int, error) {
 	buf, err := z.Peek()
 	n := copy(p, buf)

@@ -68,9 +68,14 @@ func isNumberByte(c byte) bool {
 }
 
 // decoder reads one JSON document from an inflated request body, in
-// place in the inflater's window.
+// place in the inflater's window or in the pipe's slot.
 type decoder struct {
-	z *gunzip.Reader
+	// buf is the current chunk of inflated bytes, consumed up to pos;
+	// next replaces it once it is used up, with the next chunk or the
+	// error that ends the stream.
+	buf  []byte
+	pos  int
+	next func() ([]byte, error)
 	// left is how many more inflated bytes the size cap lets through:
 	// MaxPayloadBytes+1 at the start, so reaching 0 breaches the cap.
 	left int64
@@ -96,12 +101,27 @@ type decoder struct {
 // top-level object members go to member. Like the buffered decoders
 // it replaced, a read error outranks a size-cap breach, which outranks
 // a parse error: a malformed document is still read to its end.
+//
+// The first chunk is inflated here. When the stream goes on past it
+// and a pipe is free, a helper goroutine inflates the rest, one pipe
+// slot ahead of the parser; either way the parser sees the same bytes
+// and errors in the same order. decodeBody joins the helper before it
+// returns, so r is never read after that.
 func decodeBody(r io.Reader, what string, member func(d *decoder, key []byte, c byte) error) error {
 	zr, err := gunzip.NewReader(r)
 	if err != nil {
 		return fmt.Errorf("protocol: opening gzip stream: %w", err)
 	}
-	d := &decoder{z: zr, left: MaxPayloadBytes + 1, what: what}
+	d := &decoder{left: MaxPayloadBytes + 1, what: what}
+	if p := startPipe(zr, d.left); p != nil {
+		defer p.close()
+		d.next = p.next
+	} else {
+		d.next = func() ([]byte, error) {
+			zr.Discard(len(d.buf))
+			return zr.Peek()
+		}
+	}
 	perr := d.document(member)
 	if perr != nil && d.rerr == nil {
 		for {
@@ -176,19 +196,23 @@ func (d *decoder) fail(err error) error {
 	return err
 }
 
-// window returns the inflated bytes not yet consumed, inflating more
-// when none are left; io.EOF marks the end of the stream or of the size
+// window returns the inflated bytes not yet consumed, taking the next
+// chunk when none are left; io.EOF marks the end of the stream or of the size
 // cap. Once the cap is reached, an error the inflater meets before its
 // next byte still counts, as it did when the cap's last byte came in
 // the same read as the error.
 func (d *decoder) window() ([]byte, error) {
-	buf, err := d.z.Peek()
-	if err != nil {
-		if err != io.EOF && d.rerr == nil {
-			d.rerr = err
+	if d.pos == len(d.buf) {
+		buf, err := d.next()
+		d.buf, d.pos = buf, 0
+		if err != nil {
+			if err != io.EOF && d.rerr == nil {
+				d.rerr = err
+			}
+			return nil, err
 		}
-		return nil, err
 	}
+	buf := d.buf[d.pos:]
 	if int64(len(buf)) > d.left {
 		buf = buf[:d.left]
 	}
@@ -200,7 +224,7 @@ func (d *decoder) window() ([]byte, error) {
 
 // discard drops n bytes that window returned.
 func (d *decoder) discard(n int) {
-	d.z.Discard(n)
+	d.pos += n
 	d.left -= int64(n)
 }
 
@@ -725,12 +749,11 @@ func (d *decoder) base64String() ([]byte, error) {
 		for i < len(buf) && b64Char[buf[i]] {
 			i++
 		}
-		d.text = append(d.text, buf[:i]...)
+		if err := d.addBase64(buf[:i]); err != nil {
+			return nil, err
+		}
 		if i == len(buf) {
 			d.discard(i)
-			if err := d.flushBase64(); err != nil {
-				return nil, err
-			}
 			continue
 		}
 		c := buf[i]
@@ -756,7 +779,10 @@ func (d *decoder) base64String() ([]byte, error) {
 				d.text = append(d.text, '=')
 				d.padded = true
 			case r < utf8.RuneSelf && b64Char[r]:
-				d.text = append(d.text, byte(r))
+				one := [1]byte{byte(r)}
+				if err := d.addBase64(one[:]); err != nil {
+					return nil, err
+				}
 			default:
 				return nil, fmt.Errorf("%w: illegal base64 data in byte field", d.parsing())
 			}
@@ -765,37 +791,49 @@ func (d *decoder) base64String() ([]byte, error) {
 		default:
 			return nil, fmt.Errorf("%w: illegal base64 data in byte field", d.parsing())
 		}
-		if err := d.flushBase64(); err != nil {
-			return nil, err
-		}
 	}
 }
 
-// flushBase64 decodes whole batches of pending text. Once padding has
-// been seen the text is kept for finishBase64, so anything after the
-// padding fails as it does in one base64 call.
-func (d *decoder) flushBase64() error {
-	if d.padded || len(d.text) < b64Batch {
+// addBase64 takes a run of base64 characters. Until padding is seen it
+// decodes every whole batch, straight from the run once the pending
+// text is used up, and keeps less than a batch pending; after padding
+// it keeps everything for finishBase64, so anything after the padding
+// fails as it does in one base64 call.
+func (d *decoder) addBase64(run []byte) error {
+	if d.padded {
+		d.text = append(d.text, run...)
 		return nil
 	}
-	text := d.text
-	for len(text) >= b64Batch {
-		n, err := base64.StdEncoding.Decode(d.batch[:], text[:b64Batch])
-		if err != nil {
-			return fmt.Errorf("%w: %w", d.parsing(), err)
+	if len(d.text)+len(run) >= b64Batch && len(d.text) > 0 {
+		n := b64Batch - len(d.text)
+		d.text = append(d.text, run[:n]...)
+		run = run[n:]
+		if err := d.decodeBatch(d.text); err != nil {
+			return err
 		}
-		d.emit(d.batch[:n])
-		text = text[b64Batch:]
+		d.text = d.text[:0]
 	}
-	d.text = append(d.text[:0], text...)
+	for ; len(run) >= b64Batch; run = run[b64Batch:] {
+		if err := d.decodeBatch(run[:b64Batch]); err != nil {
+			return err
+		}
+	}
+	d.text = append(d.text, run...)
+	return nil
+}
+
+// decodeBatch decodes b64Batch characters without padding.
+func (d *decoder) decodeBatch(text []byte) error {
+	n, err := base64.StdEncoding.Decode(d.batch[:], text)
+	if err != nil {
+		return fmt.Errorf("%w: %w", d.parsing(), err)
+	}
+	d.emit(d.batch[:n])
 	return nil
 }
 
 // finishBase64 decodes the remaining text and returns the field's bytes.
 func (d *decoder) finishBase64() ([]byte, error) {
-	if err := d.flushBase64(); err != nil {
-		return nil, err
-	}
 	tail := d.batch[:]
 	if n := base64.StdEncoding.DecodedLen(len(d.text)); n > len(tail) {
 		tail = make([]byte, n)

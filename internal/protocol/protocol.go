@@ -126,7 +126,7 @@ func VoiceFromRequest(req *VoiceprintRequest) (*audio.Signal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protocol: voiceprint payload: %w", err)
 	}
-	s, err := audio.ReadWAV(bytes.NewReader(raw))
+	s, err := audio.DecodeWAV(raw)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: decoding voiceprint audio: %w", err)
 	}
@@ -189,7 +189,7 @@ func SessionsFromEnroll(req *EnrollRequest) ([][]*audio.Signal, error) {
 			if err != nil {
 				return nil, fmt.Errorf("protocol: enrollment payload [%d][%d]: %w", i, j, err)
 			}
-			s, err := audio.ReadWAV(bytes.NewReader(wav))
+			s, err := audio.DecodeWAV(wav)
 			if err != nil {
 				return nil, fmt.Errorf("protocol: decoding enrollment audio [%d][%d]: %w", i, j, err)
 			}
@@ -315,7 +315,7 @@ func ToSession(req *VerifyRequest) (*core.SessionData, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protocol: voice payload: %w", err)
 	}
-	voice, err := audio.ReadWAV(bytes.NewReader(voiceWAV))
+	voice, err := audio.DecodeWAV(voiceWAV)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: decoding voice: %w", err)
 	}
@@ -323,7 +323,7 @@ func ToSession(req *VerifyRequest) (*core.SessionData, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protocol: capture payload: %w", err)
 	}
-	capture, err := audio.ReadWAV(bytes.NewReader(captureWAV))
+	capture, err := audio.DecodeWAV(captureWAV)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: decoding capture: %w", err)
 	}

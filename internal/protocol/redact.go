@@ -9,7 +9,6 @@ package protocol
 // voice — the privacy mode for packs that leave the deployment.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,7 +58,7 @@ func SessionEnvelopeFromRequest(traceID string, req *VerifyRequest, mode string)
 			if err != nil {
 				return env, fmt.Errorf("protocol: redacting %s payload: %w", ch.name, err)
 			}
-			sig, err := audio.ReadWAV(bytes.NewReader(raw))
+			sig, err := audio.DecodeWAV(raw)
 			if err != nil {
 				return env, fmt.Errorf("protocol: redacting %s audio: %w", ch.name, err)
 			}

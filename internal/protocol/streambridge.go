@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -58,7 +57,7 @@ func StreamFrames(traceID string, req *VerifyRequest) ([]stream.Frame, error) {
 		if err != nil {
 			return nil, fmt.Errorf("protocol: %s payload: %w", ch.what, err)
 		}
-		sig, err := audio.ReadWAV(bytes.NewReader(raw))
+		sig, err := audio.DecodeWAV(raw)
 		if err != nil {
 			return nil, fmt.Errorf("protocol: decoding %s: %w", ch.what, err)
 		}
@@ -146,7 +145,7 @@ func fieldFrames(ms []FieldJSON) []stream.Frame {
 
 // audioFrames chunks one audio channel. The samples are the WAV-decoded
 // float64s, so the server reassembles exactly what the HTTP path's
-// ReadWAV would produce — the bit-parity guarantee across transports.
+// DecodeWAV would produce — the bit-parity guarantee across transports.
 func audioFrames(kind stream.AudioKind, sig *audio.Signal) []stream.Frame {
 	var out []stream.Frame
 	for off := 0; ; off += stream.DefAudioChunkSamples {

@@ -45,6 +45,9 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController reach the connection's deadlines.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 // knownRoutes bounds the route-label cardinality: anything outside the
 // fixed API surface is counted as "other" so a URL-scanning client
 // cannot grow the registry without bound.

@@ -6,10 +6,12 @@ package server
 // server's flight recorder.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -469,5 +471,81 @@ func TestVoiceprintErrorsCounted(t *testing.T) {
 	decodeErrs := srv.Registry().Counter(MetricVoiceprintErrors, map[string]string{"reason": "decode"})
 	if decodeErrs.Value() != 1 {
 		t.Errorf("decode error counter = %d, want 1", decodeErrs.Value())
+	}
+}
+
+// TestStalledBodyTimesOut pins the idle deadline on request bodies: a
+// client that sends its headers and the first bytes of a body, then
+// stalls, gets a 400 once the per-read timeout passes, on every route
+// that decodes a body. On /verify the attempt counts under Errors and
+// gives its only admission slot back, so the next upload is served,
+// though it trickles in for longer than the timeout.
+func TestStalledBodyTimesOut(t *testing.T) {
+	sys, err := core.BuildSystem(core.SystemConfig{FieldSeed: 41, DisableField: true, DisableMagnetic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// /enroll refuses before reading its body without an identity stage;
+	// the stalled body never reaches this one.
+	sys.Identity = &core.SpeakerVerifier{}
+	srv, err := New(sys, nil, WithMaxInflightVerifies(1),
+		WithVerifyTimeout(200*time.Millisecond), WithStreamFrameTimeout(200*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := newHandlerServer(t, srv)
+	payload := genuinePayload(t, 43)
+
+	for _, path := range []string{"/verify", "/voiceprint", "/enroll"} {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: voiceguard\r\nContent-Length: %d\r\n\r\n", path, len(payload))
+		if _, err := conn.Write(payload[:10]); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			conn.Close()
+			t.Fatalf("POST %s with a stalled body: no reply: %v", path, err)
+		}
+		resp.Body.Close()
+		conn.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s with a stalled body: status = %d, want 400", path, resp.StatusCode)
+		}
+	}
+	if n := srv.verifyInflight.Value(); n != 0 {
+		t.Errorf("verify in flight = %v after the stalled upload, want 0", n)
+	}
+	if st := srv.Stats(); st.Requests != 1 || st.Errors != 1 {
+		t.Errorf("stats = %+v, want the stalled upload as one error", st)
+	}
+
+	// The deadline is re-armed on every read: an upload that trickles in
+	// for longer than the timeout, never pausing that long, is served.
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /verify HTTP/1.1\r\nHost: voiceguard\r\nContent-Length: %d\r\n\r\n", len(payload))
+	const pieces = 8
+	for i := 0; i < pieces; i++ {
+		if _, err := conn.Write(payload[i*len(payload)/pieces : (i+1)*len(payload)/pieces]); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("slow upload after the stalled one: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("slow upload after the stalled one: status = %d, want 200", resp.StatusCode)
 	}
 }

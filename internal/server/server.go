@@ -376,7 +376,7 @@ func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
 		respond(http.StatusNotImplemented, &protocol.EnrollResponse{Error: "no ASV stage attached"})
 		return
 	}
-	capBody(w, r)
+	s.capBody(w, r)
 	req, err := protocol.DecodeEnroll(r.Body)
 	if err != nil {
 		if requestTooLarge(err) {
@@ -415,7 +415,7 @@ func (s *Server) handleVoiceprint(w http.ResponseWriter, r *http.Request) {
 		s.logger.Warn("voiceprint failed", "trace_id", traceID, "status", status, "err", msg)
 		s.writeJSONError(w, traceID, status, msg)
 	}
-	capBody(w, r)
+	s.capBody(w, r)
 	req, err := protocol.DecodeVoiceprint(r.Body)
 	if err != nil {
 		if requestTooLarge(err) {
@@ -594,9 +594,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // decoders cap the *decompressed* payload, but without this an attacker
 // could stream an unbounded raw body into the gzip reader; MaxBytesReader
 // cuts the connection off at the cap and poisons further reads with
-// *http.MaxBytesError.
-func capBody(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, protocol.MaxPayloadBytes)
+// *http.MaxBytesError. Each read of the body also gets an idle deadline,
+// the stream listener's per-frame timeout, so a client that stops
+// sending fails the read instead of holding its handler, and on /verify
+// an admission slot, forever.
+func (s *Server) capBody(w http.ResponseWriter, r *http.Request) {
+	body := idleBody{r.Body, http.NewResponseController(w), s.streamFrameTimeout}
+	r.Body = http.MaxBytesReader(w, body, protocol.MaxPayloadBytes)
+}
+
+// idleBody refreshes the connection's read deadline before each read.
+// net/http clears it once the body reaches its end; after a failed
+// decode it still bounds the server's discard of the unread body.
+type idleBody struct {
+	io.ReadCloser
+	rc      *http.ResponseController
+	timeout time.Duration
+}
+
+func (b idleBody) Read(p []byte) (int, error) {
+	// A ResponseWriter without deadlines (httptest.ResponseRecorder)
+	// refuses this; its body is in memory and cannot stall.
+	_ = b.rc.SetReadDeadline(time.Now().Add(b.timeout))
+	return b.ReadCloser.Read(p)
 }
 
 // requestTooLarge reports whether a decode failure means the upload blew
@@ -657,7 +677,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	s.verifyInflight.Add(1)
 	defer s.verifyInflight.Add(-1)
 
-	capBody(w, r)
+	s.capBody(w, r)
 	req, err := protocol.DecodeRequest(r.Body)
 	if err != nil {
 		if requestTooLarge(err) {

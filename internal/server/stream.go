@@ -45,7 +45,8 @@ const streamDrainLimit = 10 * time.Second
 var errStreamTooLarge = fmt.Errorf("server: stream session exceeds %d bytes", protocol.MaxPayloadBytes)
 
 // WithStreamFrameTimeout overrides the per-frame read deadline of the
-// streaming listener (default DefStreamFrameTimeout).
+// streaming listener (default DefStreamFrameTimeout). The same timeout
+// is the idle deadline of every read of an HTTP request body.
 func WithStreamFrameTimeout(d time.Duration) Option {
 	return func(s *Server) { s.streamFrameTimeout = d }
 }
