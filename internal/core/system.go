@@ -4,10 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
-	"time"
 
-	"voiceguard/internal/parallel"
 	"voiceguard/internal/sensors"
 	"voiceguard/internal/telemetry"
 )
@@ -106,20 +103,24 @@ func (s *System) VerifyTraced(traceID string, session *SessionData) (Decision, e
 	return s.VerifyContext(context.Background(), traceID, session)
 }
 
-// VerifyContext runs the cascade under a request context and a
-// caller-supplied trace ID. Each executed stage is individually timed and
-// the decision carries the total pipeline latency — the per-stage
-// breakdown behind the paper's §V end-to-end response-time result.
+// VerifyContext runs the cascade over an assembled session under a
+// request context and a caller-supplied trace ID. The session arrives
+// whole, so every stage is admitted at once and the stages overlap
+// (parallel.DoContext): the cheap sensor checks run alongside the
+// expensive ASV scoring instead of in front of it. The decision is
+// assembled in the paper's order and truncated at the first failure, so
+// it is indistinguishable from a serial cascade. Each executed stage is
+// individually timed and the decision carries the total pipeline
+// latency — the per-stage breakdown behind the paper's §V end-to-end
+// response-time result.
 //
 // The context bounds the verification: it is checked on entry, again at
-// the start of every stage (a speculative stage that has not begun work
-// when the deadline passes is abandoned before touching the session),
-// and the parallel fan-out itself stops waiting the moment ctx dies.
-// On cancellation the returned error wraps ctx.Err() — test it with
-// errors.Is(err, context.DeadlineExceeded) — and the Decision carries
-// only the trace ID: stages still running have detached and their
-// results are unreadable by construction. The root span records an
-// "outcome" = "deadline_exceeded" attribute so abandoned attempts are
+// the start of every stage, and the fan-out stops waiting the moment ctx
+// dies. On cancellation the returned error wraps ctx.Err() — test it
+// with errors.Is(err, context.DeadlineExceeded) — and the Decision
+// carries only the trace ID: stages still running have detached and
+// their results are never read. The root span records an "outcome" =
+// "deadline_exceeded" attribute so abandoned attempts are
 // distinguishable in the flight recorder.
 func (s *System) VerifyContext(ctx context.Context, traceID string, session *SessionData) (Decision, error) {
 	if ctx == nil {
@@ -135,122 +136,13 @@ func (s *System) VerifyContext(ctx context.Context, traceID string, session *Ses
 	if err := session.Validate(); err != nil {
 		return Decision{TraceID: traceID}, err
 	}
-	if s.Distance == nil && s.Field == nil && s.Speaker == nil && s.Identity == nil {
-		return Decision{TraceID: traceID}, ErrIncompleteSystem
+	e, err := s.newEvaluator(traceID)
+	if err != nil {
+		return Decision{TraceID: traceID}, err
 	}
-	if err := ctx.Err(); err != nil {
-		return Decision{TraceID: traceID}, fmt.Errorf("core: verification admitted past its deadline: %w", err)
+	e.in, e.mag, e.closed = *session, session.Gesture.Mag, allChannels
+	if _, err := e.admit(ctx); err != nil {
+		return Decision{TraceID: traceID}, err
 	}
-	d := Decision{TraceID: traceID}
-	start := time.Now()
-	root := s.Tracer.StartTrace(traceID, "verify")
-	// The configured stages are independent, read-only checks over
-	// distinct session channels (Validate guarantees every channel is
-	// present), so they run speculatively in parallel: the cheap sensor
-	// checks overlap the expensive ASV scoring instead of serializing in
-	// front of it. Each stage stamps its own Elapsed via TimeStage
-	// (enforced by the stageinstrument analyzer) and, when tracing, runs
-	// under its own "stage:<name>" span carrying its decision evidence.
-	// The decision is then assembled in the paper's stage order and
-	// truncated at the first failure, so its contents are
-	// indistinguishable from the serial cascade — a later stage's
-	// speculative result is simply discarded when an earlier stage
-	// rejects.
-	var abandoned atomic.Bool
-	runStage := func(st Stage, verify func(sp *telemetry.Span) StageResult) StageResult {
-		// The per-stage deadline check: a stage whose context is already
-		// dead is abandoned before it does any work. With the speculative
-		// fan-out this is the "between stages" check of a serial cascade —
-		// it runs at every stage's admission point.
-		if err := ctx.Err(); err != nil {
-			abandoned.Store(true)
-			return StageResult{Stage: st, Detail: "abandoned: " + err.Error()}
-		}
-		if s.StageHook != nil {
-			s.StageHook(ctx, st)
-		}
-		sp := root.StartSpan(telemetry.StageSpanName + st.MetricName())
-		res := verify(sp)
-		endStageSpan(sp, res)
-		return res
-	}
-	var verifies []func() StageResult
-	if s.Distance != nil {
-		verifies = append(verifies, func() StageResult {
-			return runStage(StageDistance, func(sp *telemetry.Span) StageResult {
-				return s.Distance.VerifySpan(sp, session.Gesture)
-			})
-		})
-	}
-	if s.Field != nil {
-		verifies = append(verifies, func() StageResult {
-			return runStage(StageSoundField, func(sp *telemetry.Span) StageResult {
-				return s.Field.VerifySpan(sp, session.Field)
-			})
-		})
-	}
-	if s.Speaker != nil {
-		verifies = append(verifies, func() StageResult {
-			return runStage(StageLoudspeaker, func(sp *telemetry.Span) StageResult {
-				return s.Speaker.VerifySpan(sp, session.Gesture.Mag)
-			})
-		})
-	}
-	if s.Identity != nil {
-		verifies = append(verifies, func() StageResult {
-			return runStage(StageSpeakerID, func(sp *telemetry.Span) StageResult {
-				return s.Identity.VerifySpan(sp, session.ClaimedUser, session.Voice)
-			})
-		})
-	}
-	results := make([]StageResult, len(verifies))
-	tasks := make([]func(), len(verifies))
-	for i, verify := range verifies {
-		tasks[i] = func() { results[i] = verify() }
-	}
-	expired := func(cause error) (Decision, error) {
-		d.Elapsed = time.Since(start)
-		root.SetString("outcome", "deadline_exceeded")
-		s.Tracer.Finish(root, telemetry.Verdict{Accepted: false, Elapsed: d.Elapsed})
-		return d, fmt.Errorf("core: verification abandoned after %v: %w", d.Elapsed, cause)
-	}
-	if err := parallel.DoContext(ctx, tasks...); err != nil {
-		// The fan-out was abandoned mid-flight: unfinished stages keep
-		// running detached and own their result slots, so the decision
-		// carries only the trace ID and the elapsed time — reading the
-		// results here would race with the detached writers.
-		return expired(err)
-	}
-	if abandoned.Load() {
-		// Every task finished (the results are safe to read), but the
-		// context died during the fan-out and at least one stage was
-		// abandoned at its admission check. Its zero verdict is a timeout
-		// artifact, not evidence — surface the deadline, never a
-		// fabricated biometric rejection.
-		return expired(ctx.Err())
-	}
-	d.Accepted = true
-	for _, r := range results {
-		d.Stages = append(d.Stages, r)
-		if !r.Pass {
-			d.FailedStage = r.Stage
-			d.Accepted = false
-			break
-		}
-	}
-	d.Elapsed = time.Since(start)
-	verdict := telemetry.Verdict{Accepted: d.Accepted, Elapsed: d.Elapsed}
-	if !d.Accepted {
-		verdict.FailedStage = d.FailedStage.MetricName()
-	}
-	s.Tracer.Finish(root, verdict)
-	return d, nil
-}
-
-// endStageSpan stamps a stage's outcome onto its span and ends it.
-func endStageSpan(sp *telemetry.Span, res StageResult) {
-	sp.SetBool("pass", res.Pass)
-	sp.SetFloat("score", res.Score, "")
-	sp.SetString("detail", res.Detail)
-	sp.End()
+	return e.finish(ctx)
 }

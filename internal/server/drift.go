@@ -142,9 +142,7 @@ func (s *Server) initObservability() {
 	if s.stageResources {
 		core.SetResourceAttribution(true)
 		s.stageCPU = make(map[core.Stage]*telemetry.Gauge)
-		for _, st := range []core.Stage{
-			core.StageDistance, core.StageSoundField, core.StageLoudspeaker, core.StageSpeakerID,
-		} {
+		for _, st := range core.Stages {
 			s.stageCPU[st] = r.Gauge(MetricStageCPUSeconds, telemetry.Labels{"stage": st.MetricName()})
 		}
 		r.SetHelp(MetricStageCPUSeconds, "cumulative thread CPU seconds attributed to each cascade stage")

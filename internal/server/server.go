@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -221,10 +222,12 @@ func WithTraceSampling(ratio float64) Option {
 	return func(s *Server) { s.sampleTrace = telemetry.SampleRatio(ratio) }
 }
 
-// Stats counts served /verify requests. Fields are int64 so counts
-// survive long-lived high-traffic deployments.
+// Stats counts verification attempts on both listeners: /verify
+// requests and stream sessions. Fields are int64 so counts survive
+// long-lived high-traffic deployments.
 type Stats struct {
-	// Requests is the total number of /verify calls.
+	// Requests is the total number of verification attempts: /verify
+	// calls plus stream sessions that completed the handshake.
 	Requests int64
 	// Accepted and Rejected count decisions.
 	Accepted, Rejected int64
@@ -274,11 +277,9 @@ func New(system *core.System, logger *slog.Logger, opts ...Option) (*Server, err
 		s.sem = make(chan struct{}, s.maxInflight)
 	}
 	s.pipelineHist = r.Histogram(MetricPipelineLatency, nil, nil)
-	r.SetHelp(MetricPipelineLatency, "total pipeline latency per verification")
+	r.SetHelp(MetricPipelineLatency, "time to decision per decided verification (Decision.Elapsed; on the stream it runs from hello and includes the upload)")
 	s.stageHist = make(map[core.Stage]*telemetry.Histogram)
-	for _, st := range []core.Stage{
-		core.StageDistance, core.StageSoundField, core.StageLoudspeaker, core.StageSpeakerID,
-	} {
+	for _, st := range core.Stages {
 		s.stageHist[st] = r.Histogram(MetricStageLatency, nil, telemetry.Labels{"stage": st.MetricName()})
 	}
 	r.SetHelp(MetricStageLatency, "per-stage pipeline latency")
@@ -645,52 +646,33 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.writeJSONError(w, traceID, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	start := time.Now()
-
-	fail := func(status int, msg string) {
-		s.errored.Inc()
-		// Error outcomes report their real latency: a zero here would
-		// mislabel where time went the moment any window consumer starts
-		// attributing error time (the counter windows already key off it).
-		s.observeOutcome(telemetry.OutcomeError, time.Since(start))
-		s.logger.Warn("verify failed", "trace_id", traceID, "status", status, "err", msg)
+	v := &verification{transport: "http", traceID: traceID, start: time.Now()}
+	v.refuse = func(status, retryAfterSec int, msg string) {
+		if retryAfterSec > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSec))
+		}
 		s.writeJSONError(w, traceID, status, msg)
 	}
-
-	// Admission control runs before the expensive body decode: a shed
-	// request costs the server nothing but this reply, which is the whole
-	// point of shedding.
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.shed.Inc()
-			s.observeOutcome(telemetry.OutcomeShed, 0)
-			s.logger.Warn("verify shed", "trace_id", traceID, "max_inflight", s.maxInflight)
-			w.Header().Set("Retry-After", "1")
-			s.writeJSONError(w, traceID, http.StatusTooManyRequests,
-				fmt.Sprintf("overloaded: %d verifications already in flight", s.maxInflight))
-			return
-		}
+	if !s.admit(v) {
+		return
 	}
-	s.verifyInflight.Add(1)
-	defer s.verifyInflight.Add(-1)
+	defer s.release()
 
 	s.capBody(w, r)
 	req, err := protocol.DecodeRequest(r.Body)
 	if err != nil {
+		status := http.StatusBadRequest
 		if requestTooLarge(err) {
 			s.tooLarge["verify"].Inc()
-			fail(http.StatusRequestEntityTooLarge, fmt.Sprintf("decoding request: %v", err))
-			return
+			status = http.StatusRequestEntityTooLarge
 		}
-		fail(http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		s.fail(v, status, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
+	v.req, v.user = req, req.ClaimedUser
 	session, err := protocol.ToSession(req)
 	if err != nil {
-		fail(http.StatusBadRequest, fmt.Sprintf("rebuilding session: %v", err))
+		s.fail(v, http.StatusBadRequest, fmt.Sprintf("rebuilding session: %v", err))
 		return
 	}
 	// The pipeline runs under the request's context — cancelled when the
@@ -703,53 +685,124 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	decision, err := s.system.VerifyContext(ctx, traceID, session)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// An honest timeout, not a verdict: 503 with the trace ID so
-			// the client can retry and the operator can pull the abandoned
-			// trace from the flight recorder.
-			s.deadlined.Inc()
-			s.observeOutcome(telemetry.OutcomeDeadlineExceeded, time.Since(start))
-			s.logger.Warn("verify deadline exceeded", "trace_id", traceID,
-				"timeout", s.verifyTimeout, "err", err)
-			s.writeJSONError(w, traceID, http.StatusServiceUnavailable,
-				fmt.Sprintf("verification abandoned: %v", err))
-			return
-		}
-		fail(http.StatusUnprocessableEntity, fmt.Sprintf("verifying: %v", err))
+	if !s.settle(v, &decision, err, http.StatusUnprocessableEntity) {
 		return
 	}
-	if decision.Accepted {
-		s.accepted.Inc()
-		s.observeOutcome(telemetry.OutcomeAccepted, decision.Elapsed)
-	} else {
-		s.rejected.Inc()
-		s.observeOutcome(telemetry.OutcomeRejected, decision.Elapsed)
-	}
-	s.observeDecision(&decision)
-	if s.evidenceEnabled() {
-		s.retainEvidence(traceID, req, decision)
-	}
-	s.pipelineHist.ObserveDurationExemplar(decision.Elapsed, decision.TraceID)
-	stageAttrs := make([]any, 0, 2*len(decision.Stages)+8)
-	stageAttrs = append(stageAttrs,
-		"trace_id", decision.TraceID,
-		"user", req.ClaimedUser,
-		"decision", decision.String(),
-		"elapsed", time.Since(start),
-	)
-	for _, st := range decision.Stages {
-		if h, ok := s.stageHist[st.Stage]; ok {
-			h.ObserveDurationExemplar(st.Elapsed, decision.TraceID)
-		}
-		stageAttrs = append(stageAttrs, "stage_"+st.Stage.MetricName(), st.Elapsed)
-	}
-	s.logger.Info("verify", stageAttrs...)
-
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(protocol.DecisionToResponse(decision)); err != nil {
 		s.logger.Error("encoding response", "err", err, "trace_id", traceID)
 	}
+}
+
+// verification is one /verify request or one stream session, from
+// admission to its settled outcome. Both listeners account it through
+// the same admit and settle, so every verification lands in exactly one
+// of accepted/rejected/errored/deadlined/shed whichever transport
+// carried it.
+type verification struct {
+	transport string // "http" or "stream"
+	traceID   string
+	user      string
+	start     time.Time
+	// req is the decoded upload, retained for evidence packs. It is nil
+	// on the stream: an early REJECT has no complete session to replay.
+	req *protocol.VerifyRequest
+	// refuse answers a shed, failed or abandoned verification on its
+	// transport with the JSON error envelope.
+	refuse func(status, retryAfterSec int, msg string)
+}
+
+// admit is the one admission path. It runs before any decode, so a shed
+// verification costs the server nothing but its 429 reply, which is the
+// whole point of shedding. After a true return the caller must defer
+// s.release.
+func (s *Server) admit(v *verification) bool {
+	if s.sem != nil {
+		select {
+		case s.sem <- struct{}{}:
+		default:
+			s.shed.Inc()
+			s.observeOutcome(telemetry.OutcomeShed, 0)
+			s.logger.Warn("verify shed", "trace_id", v.traceID, "transport", v.transport,
+				"max_inflight", s.maxInflight)
+			v.refuse(http.StatusTooManyRequests, 1,
+				fmt.Sprintf("overloaded: %d verifications already in flight", s.maxInflight))
+			return false
+		}
+	}
+	s.verifyInflight.Add(1)
+	return true
+}
+
+// release gives back what admit took.
+func (s *Server) release() {
+	s.verifyInflight.Add(-1)
+	if s.sem != nil {
+		<-s.sem
+	}
+}
+
+// fail settles a verification that ended in an error. Error outcomes
+// report their real latency: a zero here would mislabel where time went
+// the moment any window consumer starts attributing error time.
+func (s *Server) fail(v *verification, status int, msg string) {
+	s.errored.Inc()
+	s.observeOutcome(telemetry.OutcomeError, time.Since(v.start))
+	s.logger.Warn("verify failed", "trace_id", v.traceID, "transport", v.transport,
+		"status", status, "err", msg)
+	v.refuse(status, 0, msg)
+}
+
+// settle is the one decision sink. A deadline or cancellation is an
+// honest timeout, not a verdict: 503 with the trace ID, so the client
+// can retry and the operator can pull the abandoned trace from the
+// flight recorder. Any other error fails with errStatus. A decision is
+// recorded in the outcome counters, the windows, the stage and pipeline
+// histograms, evidence retention (only when a decoded request exists)
+// and one log line with per-stage durations, plus any extra log
+// attributes; settle then reports true and the caller sends it.
+func (s *Server) settle(v *verification, d *core.Decision, err error, errStatus int, attrs ...any) bool {
+	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			s.deadlined.Inc()
+			s.observeOutcome(telemetry.OutcomeDeadlineExceeded, time.Since(v.start))
+			s.logger.Warn("verify deadline exceeded", "trace_id", v.traceID, "transport", v.transport,
+				"timeout", s.verifyTimeout, "err", err)
+			v.refuse(http.StatusServiceUnavailable, 0, fmt.Sprintf("verification abandoned: %v", err))
+			return false
+		}
+		s.fail(v, errStatus, fmt.Sprintf("verifying: %v", err))
+		return false
+	}
+	if d.Accepted {
+		s.accepted.Inc()
+		s.observeOutcome(telemetry.OutcomeAccepted, d.Elapsed)
+	} else {
+		s.rejected.Inc()
+		s.observeOutcome(telemetry.OutcomeRejected, d.Elapsed)
+	}
+	s.observeDecision(d)
+	if v.req != nil && s.evidenceEnabled() {
+		s.retainEvidence(v.traceID, v.req, *d)
+	}
+	s.pipelineHist.ObserveDurationExemplar(d.Elapsed, d.TraceID)
+	logAttrs := make([]any, 0, 2*len(d.Stages)+10+len(attrs))
+	logAttrs = append(logAttrs,
+		"trace_id", d.TraceID,
+		"transport", v.transport,
+		"user", v.user,
+		"decision", d.String(),
+		"elapsed", time.Since(v.start),
+	)
+	logAttrs = append(logAttrs, attrs...)
+	for _, st := range d.Stages {
+		if h, ok := s.stageHist[st.Stage]; ok {
+			h.ObserveDurationExemplar(st.Elapsed, d.TraceID)
+		}
+		logAttrs = append(logAttrs, "stage_"+st.Stage.MetricName(), st.Elapsed)
+	}
+	s.logger.Info("verify", logAttrs...)
+	return true
 }
 
 // Serve accepts connections on ln until Shutdown is called (or the

@@ -65,9 +65,7 @@ func (s *Server) initStream() {
 	s.streamBytesOut = r.Counter(MetricStreamBytes, telemetry.Labels{"dir": "out"})
 	r.SetHelp(MetricStreamBytes, "streaming protocol bytes by direction")
 	s.streamEarlyExit = make(map[core.Stage]*telemetry.Counter)
-	for _, st := range []core.Stage{
-		core.StageDistance, core.StageSoundField, core.StageLoudspeaker, core.StageSpeakerID,
-	} {
+	for _, st := range core.Stages {
 		s.streamEarlyExit[st] = r.Counter(MetricStreamEarlyExit, telemetry.Labels{"stage": st.MetricName()})
 	}
 	r.SetHelp(MetricStreamEarlyExit, "stream sessions rejected before upload completed, by deciding stage")
@@ -255,13 +253,21 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 // streamSession runs one session after the handshake: admission,
 // incremental evaluation frame by frame, one decision or error frame
 // back. It reports whether the session was decided before its finish
-// frame, leaving frames to drain. Outcome accounting mirrors
-// handleVerify — every session that completes the handshake lands in
-// exactly one of accepted/rejected/errored/deadlined/shed, so the Stats
-// invariant holds across both transports. No payload bytes are kept past
-// ApplyStreamFrame: the decoders copy out what the verifier keeps.
+// frame, leaving frames to drain. Admission and outcome accounting are
+// the ones handleVerify uses (admit, fail, settle); the stream adds only
+// its frame I/O, its time-to-decision histogram and its early-exit
+// counter. No payload bytes are kept past ApplyStreamFrame: the decoders
+// copy out what the verifier keeps.
 func (s *Server) streamSession(conn net.Conn, fr *stream.FrameReader) (early bool) {
-	start := time.Now()
+	v := &verification{transport: "stream", start: time.Now()}
+	var verifier *core.StreamVerifier
+	v.refuse = func(status, retryAfterSec int, msg string) {
+		if verifier != nil {
+			// A no-op when the deadline already abandoned the session.
+			verifier.Abandon("error")
+		}
+		s.sendStreamError(conn, v.traceID, status, retryAfterSec, msg)
+	}
 	// The streaming session outlives any single read, so its context is
 	// rooted here and bounded by the verify timeout when configured.
 	//lint:allow ctxfirst connection handler owns the session lifetime; there is no inbound request context
@@ -271,168 +277,94 @@ func (s *Server) streamSession(conn net.Conn, fr *stream.FrameReader) (early boo
 		ctx, cancel = context.WithTimeout(ctx, s.verifyTimeout)
 		defer cancel()
 	}
-
-	// Admission control before any session state exists, as on HTTP.
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.shed.Inc()
-			s.observeOutcome(telemetry.OutcomeShed, 0)
-			s.logger.Warn("stream verify shed", "max_inflight", s.maxInflight)
-			s.sendStreamError(conn, "", http.StatusTooManyRequests, 1,
-				fmt.Sprintf("overloaded: %d verifications already in flight", s.maxInflight))
-			return false
-		}
+	if !s.admit(v) {
+		return false
 	}
-	s.verifyInflight.Add(1)
-	defer s.verifyInflight.Add(-1)
-
-	fail := func(traceID string, status int, msg string) {
-		s.errored.Inc()
-		s.observeOutcome(telemetry.OutcomeError, time.Since(start))
-		s.logger.Warn("stream verify failed", "trace_id", traceID, "status", status, "err", msg)
-		s.sendStreamError(conn, traceID, status, 0, msg)
-	}
+	defer s.release()
 
 	// The first frame must be the hello: it names the session before any
 	// evidence arrives.
 	first, err := s.readStreamFrame(conn, fr, time.Time{})
 	if err != nil {
-		fail("", http.StatusBadRequest, fmt.Sprintf("reading hello frame: %v", err))
+		s.fail(v, http.StatusBadRequest, fmt.Sprintf("reading hello frame: %v", err))
 		return false
 	}
 	if first.Type != stream.TypeHello {
-		fail("", http.StatusBadRequest, fmt.Sprintf("first frame is %v, want hello", first.Type))
+		s.fail(v, http.StatusBadRequest, fmt.Sprintf("first frame is %v, want hello", first.Type))
 		return false
 	}
 	hello, err := stream.DecodeHello(first.Payload)
 	if err != nil {
-		fail("", http.StatusBadRequest, fmt.Sprintf("decoding hello: %v", err))
+		s.fail(v, http.StatusBadRequest, fmt.Sprintf("decoding hello: %v", err))
 		return false
 	}
-	verifier, err := s.system.NewStreamVerifier(hello.TraceID)
+	v.traceID, v.user = hello.TraceID, hello.ClaimedUser
+	verifier, err = s.system.NewStreamVerifier(hello.TraceID)
 	if err != nil {
-		fail(hello.TraceID, http.StatusInternalServerError, fmt.Sprintf("opening stream verification: %v", err))
+		s.fail(v, http.StatusInternalServerError, fmt.Sprintf("opening stream verification: %v", err))
 		return false
 	}
-	traceID := verifier.TraceID()
-	digest := stream.NewSessionDigest()
-	digest.Add(first)
-	if _, err := protocol.ApplyStreamFrame(ctx, verifier, first); err != nil {
-		s.streamSessionError(conn, verifier, traceID, start, err)
-		return false
+	v.traceID = verifier.TraceID()
+
+	// respond settles a decision or evaluator error and answers it with
+	// a decision frame (FlagEarly when the verdict beat the client's
+	// finish frame).
+	respond := func(d *core.Decision, err error, early bool) bool {
+		ttd := time.Since(v.start)
+		if !s.settle(v, d, err, http.StatusBadRequest, "early_exit", early) {
+			return false
+		}
+		s.streamTTD.ObserveDurationExemplar(ttd, d.TraceID)
+		if early && !d.Accepted {
+			if c, ok := s.streamEarlyExit[d.FailedStage]; ok {
+				c.Inc()
+			}
+		}
+		f, err := protocol.StreamDecision(protocol.DecisionToResponse(*d), early)
+		if err != nil {
+			s.logger.Error("encoding stream decision", "err", err, "trace_id", d.TraceID)
+			return early
+		}
+		if err := s.writeStreamFrame(conn, f); err != nil {
+			s.logger.Warn("writing stream decision", "err", err, "trace_id", d.TraceID)
+		}
+		return early
 	}
 
-	frames := uint32(1)
+	digest := stream.NewSessionDigest()
+	f, frames := first, uint32(0)
 	for {
-		f, err := s.readStreamFrame(conn, fr, time.Time{})
-		if err != nil {
-			verifier.Abandon("error")
+		digest.Add(f)
+		frames++
+		if d, err := protocol.ApplyStreamFrame(ctx, verifier, f); d != nil || err != nil {
+			return respond(d, err, true)
+		}
+		if f, err = s.readStreamFrame(conn, fr, time.Time{}); err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, errStreamTooLarge) {
 				s.tooLarge["stream"].Inc()
 				status = http.StatusRequestEntityTooLarge
 			}
-			fail(traceID, status, fmt.Sprintf("reading frame: %v", err))
+			s.fail(v, status, fmt.Sprintf("reading frame: %v", err))
 			return false
 		}
-		if f.Type == stream.TypeFinish {
-			fin, err := stream.DecodeFinish(f.Payload)
-			if err != nil {
-				verifier.Abandon("error")
-				fail(traceID, http.StatusBadRequest, fmt.Sprintf("decoding finish: %v", err))
-				return false
-			}
-			// Raw-byte digest comparison: the client's sum must reproduce
-			// over the frames actually received, or the session was
-			// corrupted/reordered in transit.
-			if fin.Digest != digest.Sum() || fin.Frames != frames {
-				verifier.Abandon("error")
-				fail(traceID, http.StatusBadRequest, fmt.Sprintf(
-					"session digest mismatch over %d frames", frames))
-				return false
-			}
-			decision, err := verifier.Finish(ctx)
-			if err != nil {
-				s.streamSessionError(conn, verifier, traceID, start, err)
-				return false
-			}
-			s.respondStream(conn, &decision, false, start)
-			return false
+		if f.Type != stream.TypeFinish {
+			continue
 		}
-		digest.Add(f)
-		frames++
-		decision, err := protocol.ApplyStreamFrame(ctx, verifier, f)
+		fin, err := stream.DecodeFinish(f.Payload)
 		if err != nil {
-			s.streamSessionError(conn, verifier, traceID, start, err)
+			s.fail(v, http.StatusBadRequest, fmt.Sprintf("decoding finish: %v", err))
 			return false
 		}
-		if decision != nil {
-			s.respondStream(conn, decision, true, start)
-			return true
+		// Raw-byte digest comparison: the client's sum must reproduce
+		// over the frames actually received, or the session was
+		// corrupted/reordered in transit.
+		if fin.Digest != digest.Sum() || fin.Frames != frames {
+			s.fail(v, http.StatusBadRequest, fmt.Sprintf("session digest mismatch over %d frames", frames))
+			return false
 		}
-	}
-}
-
-// streamSessionError maps an evaluator error onto the stream the way
-// handleVerify maps one onto HTTP: deadline/cancellation becomes an
-// honest 503 (deadline_exceeded outcome, never a fabricated rejection),
-// anything else a 400-class error.
-func (s *Server) streamSessionError(conn net.Conn, v *core.StreamVerifier, traceID string, start time.Time, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.deadlined.Inc()
-		s.observeOutcome(telemetry.OutcomeDeadlineExceeded, time.Since(start))
-		s.logger.Warn("stream verify deadline exceeded", "trace_id", traceID,
-			"timeout", s.verifyTimeout, "err", err)
-		s.sendStreamError(conn, traceID, http.StatusServiceUnavailable, 0,
-			fmt.Sprintf("verification abandoned: %v", err))
-		return
-	}
-	v.Abandon("error")
-	s.errored.Inc()
-	s.observeOutcome(telemetry.OutcomeError, time.Since(start))
-	s.logger.Warn("stream verify failed", "trace_id", traceID, "err", err)
-	s.sendStreamError(conn, traceID, http.StatusBadRequest, 0, err.Error())
-}
-
-// respondStream accounts a decision and answers with a decision frame
-// (FlagEarly when the verdict beat the client's finish frame).
-func (s *Server) respondStream(conn net.Conn, decision *core.Decision, early bool, start time.Time) {
-	ttd := time.Since(start)
-	if decision.Accepted {
-		s.accepted.Inc()
-		s.observeOutcome(telemetry.OutcomeAccepted, ttd)
-	} else {
-		s.rejected.Inc()
-		s.observeOutcome(telemetry.OutcomeRejected, ttd)
-	}
-	s.observeDecision(decision)
-	s.streamTTD.ObserveDurationExemplar(ttd, decision.TraceID)
-	if early && !decision.Accepted {
-		if c, ok := s.streamEarlyExit[decision.FailedStage]; ok {
-			c.Inc()
-		}
-	}
-	for _, st := range decision.Stages {
-		if h, ok := s.stageHist[st.Stage]; ok {
-			h.ObserveDurationExemplar(st.Elapsed, decision.TraceID)
-		}
-	}
-	s.logger.Info("stream verify",
-		"trace_id", decision.TraceID,
-		"decision", decision.String(),
-		"early_exit", early,
-		"time_to_decision", ttd,
-	)
-	f, err := protocol.StreamDecision(protocol.DecisionToResponse(*decision), early)
-	if err != nil {
-		s.logger.Error("encoding stream decision", "err", err, "trace_id", decision.TraceID)
-		return
-	}
-	if err := s.writeStreamFrame(conn, f); err != nil {
-		s.logger.Warn("writing stream decision", "err", err, "trace_id", decision.TraceID)
+		d, err := verifier.Finish(ctx)
+		return respond(&d, err, false)
 	}
 }
 

@@ -7,9 +7,13 @@ package server
 // traffic and must stay data-race free.
 
 import (
+	"bytes"
 	"context"
+	"log/slog"
 	"math"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,11 +26,17 @@ import (
 // HTTP base URL and the stream address.
 func dualProtocolServer(t *testing.T) (*Server, string, string) {
 	t.Helper()
+	return dualProtocolServerLogging(t, nil)
+}
+
+// dualProtocolServerLogging is dualProtocolServer with a request logger.
+func dualProtocolServerLogging(t *testing.T, logger *slog.Logger) (*Server, string, string) {
+	t.Helper()
 	sys, err := core.BuildSystem(core.SystemConfig{FieldSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(sys, nil, WithDecisionEndpoints())
+	srv, err := New(sys, logger, WithDecisionEndpoints())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,5 +169,61 @@ func TestStreamAndHTTPAgreeOnReplayAttack(t *testing.T) {
 	}
 	if exits == 0 {
 		t.Error("early-exit counter still zero after an early rejection")
+	}
+}
+
+// TestStreamAndHTTPSettleDecisionsAlike pins the shared decision sink:
+// a decision on either listener feeds the pipeline latency histogram
+// and logs one "verify" line carrying its transport, the claimed user
+// and every executed stage's duration.
+func TestStreamAndHTTPSettleDecisionsAlike(t *testing.T) {
+	var logBuf bytes.Buffer
+	var logMu sync.Mutex
+	logger := slog.New(slog.NewTextHandler(&syncWriter{w: &logBuf, mu: &logMu}, nil))
+	srv, httpURL, streamAddr := dualProtocolServerLogging(t, logger)
+	session := genuineSession(t, 63)
+	c := client.New(httpURL)
+
+	httpRes, err := c.VerifyContext(context.Background(), session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamRes, err := c.VerifyStream(context.Background(), streamAddr, session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !httpRes.Response.Accepted || !streamRes.Response.Accepted {
+		t.Fatalf("genuine session rejected: http=%v stream=%v",
+			httpRes.Response.Accepted, streamRes.Response.Accepted)
+	}
+
+	if got := srv.pipelineHist.Count(); got != 2 {
+		t.Errorf("%s count = %d, want one observation per transport", MetricPipelineLatency, got)
+	}
+	logMu.Lock()
+	logged := logBuf.String()
+	logMu.Unlock()
+	for _, tc := range []struct{ transport, traceID string }{
+		{"http", httpRes.TraceID},
+		{"stream", streamRes.TraceID},
+	} {
+		var line string
+		for _, l := range strings.Split(logged, "\n") {
+			if strings.Contains(l, "msg=verify ") && strings.Contains(l, "trace_id="+tc.traceID) {
+				line = l
+			}
+		}
+		if line == "" {
+			t.Errorf("%s: no verify log line for trace %s:\n%s", tc.transport, tc.traceID, logged)
+			continue
+		}
+		for _, field := range []string{
+			"transport=" + tc.transport, "user=" + session.ClaimedUser,
+			"stage_distance=", "stage_soundfield=", "stage_loudspeaker=",
+		} {
+			if !strings.Contains(line, field) {
+				t.Errorf("%s: verify log line lacks %q: %s", tc.transport, field, line)
+			}
+		}
 	}
 }

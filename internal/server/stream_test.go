@@ -429,6 +429,80 @@ func TestStreamVerifyTimeoutMapsToDeadline(t *testing.T) {
 	}
 }
 
+// TestStreamVerifyTimeoutAbandonsHungStage is the stream twin of
+// TestVerifyTimeoutReturns503: a stage hung past the verify timeout
+// ends the session with a 503 error frame soon after the deadline,
+// counted under DeadlineExceeded, and the session gives back its
+// admission slot, so the next session is admitted and Shutdown returns
+// while the stage is still parked.
+func TestStreamVerifyTimeoutAbandonsHungStage(t *testing.T) {
+	sys, started, release := hungVerifySystem(t)
+	const timeout = 200 * time.Millisecond
+	srv, addr := streamTestServer(t, sys, WithVerifyTimeout(timeout), WithMaxInflightVerifies(1))
+	// Unpark the stages before the server's own cleanup shuts it down, so
+	// a handler stuck in one cannot hang the suite.
+	t.Cleanup(release)
+	session := genuineSession(t, 41)
+
+	for i := 1; i <= 2; i++ {
+		// The first session's slot must be back before the next dials,
+		// or the second would be shed for a reason this test is not about.
+		for deadline := time.Now().Add(5 * time.Second); srv.verifyInflight.Value() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("session %d: admission slot still held", i-1)
+			}
+		}
+		traceID := fmt.Sprintf("stream-hung-%d", i)
+		frames := sessionFrames(t, traceID, session)
+		conn := dialStream(t, addr)
+		for _, f := range frames {
+			if err := stream.WriteFrame(conn, f); err != nil {
+				break
+			}
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(timeout + 3*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := stream.ReadFrame(conn, 0)
+		if err != nil {
+			t.Fatalf("session %d: no reply within 3s of the deadline: %v", i, err)
+		}
+		status, _, env, err := protocol.ErrorFromStreamFrame(reply)
+		if err != nil {
+			t.Fatalf("session %d: reply is not an error frame: %v", i, err)
+		}
+		if status != http.StatusServiceUnavailable {
+			t.Fatalf("session %d: status = %d, want 503", i, status)
+		}
+		if env.TraceID != traceID {
+			t.Errorf("session %d: envelope trace ID = %q", i, env.TraceID)
+		}
+		select {
+		case <-started:
+		default:
+			t.Errorf("session %d: stage hook never entered", i)
+		}
+		if st := srv.Stats(); st.DeadlineExceeded != int64(i) || st.Requests != int64(i) {
+			t.Errorf("after session %d: stats = %+v, want %d deadline_exceeded and nothing else", i, st, i)
+		}
+	}
+
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		shut <- srv.Shutdown(ctx)
+	}()
+	select {
+	case err := <-shut:
+		if err != nil {
+			t.Fatalf("Shutdown with a stage still parked: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown did not return with a stage still parked")
+	}
+}
+
 func TestStreamFrameTimeoutReleasesStalledSession(t *testing.T) {
 	srv, addr := streamTestServer(t, nil, WithStreamFrameTimeout(100*time.Millisecond))
 	// Synthesize the session before dialing: the per-frame deadline starts
