@@ -216,11 +216,11 @@ func benchJSONRows(seed int64) ([]benchRow, error) {
 		rows = append(rows, row)
 	}
 
-	batched, err := measureBatchedVerify(compiled, speakerCompiled, pool)
+	concurrent, err := measureConcurrentVerify(compiled, speakerCompiled, pool)
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, batched)
+	rows = append(rows, concurrent)
 
 	e2e, err := streamLatencyRows(seed)
 	if err != nil {
@@ -253,23 +253,19 @@ func streamLatencyRows(seed int64) ([]benchRow, error) {
 	return rows, nil
 }
 
-// measureBatchedVerify times the cross-request batching layer end to
-// end: concurrent workers push utterance-sized frame blocks through one
-// Batcher (sharing UBM passes) and finish each verify against the
-// compiled speaker model. The row is normalized per verify, so it reads
-// as batched-verify latency and its inverse is verifies/sec/core.
-func measureBatchedVerify(ubm, speaker *gmm.ScoringModel, frames [][]float64) (benchRow, error) {
+// measureConcurrentVerify times the fast ASV scoring path under
+// concurrency: workers score utterance-sized frame blocks through the
+// compiled UBM's TopC and finish each verify against the compiled
+// speaker model, the work every concurrent fast-path verify does. The
+// row is normalized per verify, so it reads as verify latency under
+// load and its inverse is verifies/sec.
+func measureConcurrentVerify(ubm, speaker *gmm.ScoringModel, frames [][]float64) (benchRow, error) {
 	const (
 		workers           = 8
 		verifiesPerWorker = 16
 		uttFrames         = 50
 	)
-	row, err := measure("batch/asv.BatchedVerify", 1, func() error {
-		b, err := gmm.NewBatcher(ubm, gmm.BatchConfig{TopC: gmm.DefaultShortlistC})
-		if err != nil {
-			return err
-		}
-		defer b.Close()
+	row, err := measure("concurrent/asv.TopCVerify", 1, func() error {
 		errCh := make(chan error, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -279,7 +275,7 @@ func measureBatchedVerify(ubm, speaker *gmm.ScoringModel, frames [][]float64) (b
 				for i := 0; i < verifiesPerWorker; i++ {
 					off := ((w*verifiesPerWorker + i) * uttFrames) % (len(frames) - uttFrames)
 					utt := frames[off : off+uttFrames]
-					sl, err := b.ScoreUBM(utt)
+					sl, err := ubm.TopC(utt, gmm.DefaultShortlistC)
 					if err != nil {
 						errCh <- err
 						return

@@ -79,7 +79,7 @@ func TestWriteBenchJSONShape(t *testing.T) {
 	for _, want := range []string{
 		"micro/features.Extract", "experiment/table1",
 		"micro/gmm.TopCShortlist", "micro/gmm.ScoringModelCompile",
-		"batch/asv.BatchedVerify", "micro/ranging.Recover",
+		"concurrent/asv.TopCVerify", "micro/ranging.Recover",
 		"micro/protocol.DecodeRequest", "micro/protocol.DecodeVoiceprint",
 	} {
 		if !seen[want] {

@@ -17,7 +17,7 @@
 //
 //	voiceguard-server -addr :8443
 //	voiceguard-server -addr :8443 -asv -enroll victim:seed=17
-//	voiceguard-server -addr :8443 -asv -asv-fast -asv-batch
+//	voiceguard-server -addr :8443 -asv -asv-fast -asv-cache 256
 //	voiceguard-server -addr :8443 -pprof -decisions -metrics=false
 //	voiceguard-server -addr :8443 -verify-timeout 2s -max-inflight 16
 //	voiceguard-server -addr :8443 -decisions -evidence -evidence-dir /var/spool/voiceguard
@@ -63,11 +63,7 @@ type config struct {
 	evidenceDir   string
 	evidenceKeep  int
 	asvFast       bool
-	asvTopC       int
 	asvCache      int
-	asvBatch      bool
-	asvBatchWin   time.Duration
-	asvBatchMax   int
 
 	drift          bool
 	driftAlertPSI  float64 // unit: dimensionless
@@ -96,11 +92,7 @@ func main() {
 	flag.StringVar(&cfg.evidenceDir, "evidence-dir", "", "spool an evidence pack into this directory for every rejected decision")
 	flag.IntVar(&cfg.evidenceKeep, "evidence-retention", 0, "evidence session retention ring capacity (0 = default)")
 	flag.BoolVar(&cfg.asvFast, "asv-fast", false, "serve ASV scoring through the compiled top-C shortlist path (requires -asv)")
-	flag.IntVar(&cfg.asvTopC, "asv-topc", 0, "shortlist width for -asv-fast (0 = default)")
 	flag.IntVar(&cfg.asvCache, "asv-cache", 0, "compiled speaker-model LRU capacity for -asv-fast (0 = default)")
-	flag.BoolVar(&cfg.asvBatch, "asv-batch", false, "coalesce concurrent verifies into batched UBM scoring passes (implies -asv-fast)")
-	flag.DurationVar(&cfg.asvBatchWin, "asv-batch-window", 0, "batching window for -asv-batch (0 = default)")
-	flag.IntVar(&cfg.asvBatchMax, "asv-batch-frames", 0, "frame count that flushes a batch early for -asv-batch (0 = default)")
 	flag.BoolVar(&cfg.drift, "drift", true, "mount the GET /debug/drift aggregate drift/SLO report (windows are always fed)")
 	flag.Float64Var(&cfg.driftAlertPSI, "drift-alert-psi", 0, "PSI above which a drift series alerts (0 = default 0.25)")
 	flag.Float64Var(&cfg.sloAvail, "slo-availability", 0, "availability objective, e.g. 0.999 (0 disables the availability SLO)")
@@ -158,13 +150,10 @@ func run(ctx context.Context, cfg config, logger *slog.Logger) error {
 		opts = append(opts, server.WithEvidenceRetention(cfg.evidenceKeep))
 	}
 	if cfg.asvFast {
-		opts = append(opts, server.WithASVFastPath(cfg.asvTopC))
+		opts = append(opts, server.WithASVFastPath())
 	}
 	if cfg.asvCache > 0 {
 		opts = append(opts, server.WithASVModelCache(cfg.asvCache))
-	}
-	if cfg.asvBatch {
-		opts = append(opts, server.WithASVBatching(cfg.asvBatchWin, cfg.asvBatchMax))
 	}
 	opts = append(opts, server.WithDriftEndpoint(cfg.drift))
 	if cfg.driftAlertPSI > 0 {
@@ -232,21 +221,18 @@ func provenance(cfg config) (evidence.Provenance, error) {
 		if cfg.enrollSpec != "" {
 			return p, fmt.Errorf("-enroll requires -asv")
 		}
-		if cfg.asvFast || cfg.asvBatch {
-			return p, fmt.Errorf("-asv-fast/-asv-batch require -asv")
+		if cfg.asvFast {
+			return p, fmt.Errorf("-asv-fast requires -asv")
 		}
 		return p, nil
 	}
 	p.ASV = &evidence.ASVProvenance{
 		Seed: cfg.seed, Roster: 8, Sessions: 2, Utterances: 2, Digits: 6,
 	}
-	if cfg.asvFast || cfg.asvBatch {
+	if cfg.asvFast {
 		// Record the serving shortlist width so a pack replayer rebuilds
 		// with the same scoring path and reproduces scores bit-for-bit.
-		p.ASV.FastTopC = cfg.asvTopC
-		if p.ASV.FastTopC <= 0 {
-			p.ASV.FastTopC = gmm.DefaultShortlistC
-		}
+		p.ASV.FastTopC = gmm.DefaultShortlistC
 	}
 	if cfg.enrollSpec == "" {
 		return p, nil

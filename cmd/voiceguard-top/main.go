@@ -1,7 +1,7 @@
 // Command voiceguard-top renders a refreshing terminal view of a running
 // verification server: outcome and stage-latency summaries scraped from
 // /metrics, drift scores, SLO burn rates and resource attribution from
-// /debug/drift, and the ASV cache/batcher serving state from /healthz —
+// /debug/drift, and the ASV model-cache state from /healthz —
 // the at-a-glance answer to "is the fleet healthy and has the evidence
 // distribution moved".
 //
@@ -182,9 +182,6 @@ type asvView struct {
 	CacheHits          int64   `json:"cache_hits"`
 	CacheMisses        int64   `json:"cache_misses"`
 	CacheHitRatio      float64 `json:"cache_hit_ratio"`
-	Batching           bool    `json:"batching"`
-	QueueDepth         int     `json:"queue_depth"`
-	PendingFrames      int     `json:"pending_frames"`
 }
 
 // render fetches one snapshot of every surface and formats the frame.
@@ -269,12 +266,8 @@ func render(ctx context.Context, c *client.Client, timeline int) (string, error)
 	}
 
 	if asv != nil {
-		fmt.Fprintf(&b, "\nasv      cache %d models / %s  hit %.1f%%",
+		fmt.Fprintf(&b, "\nasv      cache %d models / %s  hit %.1f%%\n",
 			asv.CacheEntries, bytesHuman(float64(asv.CacheResidentBytes)), asv.CacheHitRatio*100)
-		if asv.Batching {
-			fmt.Fprintf(&b, "  batch queue %d (%d frames)", asv.QueueDepth, asv.PendingFrames)
-		}
-		b.WriteString("\n")
 	}
 
 	if len(rep.Timeline) > 0 {

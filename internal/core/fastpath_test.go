@@ -83,11 +83,10 @@ func TestFastPathScoresWithinEpsilon(t *testing.T) {
 	if err := v.EnableFastPath(FastPathConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	topC, on := v.FastPath()
-	if !on || topC != gmm.DefaultShortlistC {
-		t.Fatalf("FastPath() = (%d, %v), want (%d, true)", topC, on, gmm.DefaultShortlistC)
+	if v.fast == nil || v.fast.topC != gmm.DefaultShortlistC {
+		t.Fatalf("fast path state %+v, want shortlist width %d", v.fast, gmm.DefaultShortlistC)
 	}
-	if sm := v.CompiledUBM(); sm == nil || sm.Digest() == "" {
+	if v.fast.ubm == nil || v.fast.ubm.Digest() == "" {
 		t.Fatal("fast path enabled without a compiled UBM")
 	}
 	fastG, err := v.Score("victim", f.genuine)
@@ -114,7 +113,7 @@ func TestFastPathScoresWithinEpsilon(t *testing.T) {
 	}
 
 	v.DisableFastPath()
-	if _, on := v.FastPath(); on {
+	if v.fast != nil {
 		t.Error("DisableFastPath left the fast path on")
 	}
 	again, err := v.Score("victim", f.genuine)
@@ -131,7 +130,7 @@ func TestEnableFastPathValidation(t *testing.T) {
 	if err := f.v.EnableFastPath(FastPathConfig{TopC: -1}); err == nil {
 		t.Error("negative shortlist width accepted")
 	}
-	if _, on := f.v.FastPath(); on {
+	if f.v.fast != nil {
 		t.Error("failed enable left the fast path on")
 	}
 
@@ -186,55 +185,45 @@ func TestModelDigestsFastEntry(t *testing.T) {
 	}
 }
 
-// countingShortlister routes the fast path's UBM pass through TopC while
-// counting calls — the shape of the server's cross-request batcher.
-type countingShortlister struct {
-	sm    *gmm.ScoringModel
-	topC  int
-	calls int
-}
-
-func (c *countingShortlister) ScoreUBM(frames [][]float64) (*gmm.Shortlist, error) {
-	c.calls++
-	return c.sm.TopC(frames, c.topC)
-}
-
-func TestSetUBMShortlisterSeam(t *testing.T) {
+// TestFastPathDigestFollowsReenroll pins the cache key to the model it
+// was computed from. A verify that read a user's model just before a
+// re-enrollment replaced it finishes its fast-path lookup afterwards;
+// the next verify must still compile and score the new model, the one
+// the exact path and the evidence digests see.
+func TestFastPathDigestFollowsReenroll(t *testing.T) {
 	f := loadFastFixture(t)
 	v := f.v
-	if err := v.SetUBMShortlister(&countingShortlister{}); err == nil {
-		t.Fatal("shortlister attached before the fast path was enabled")
+	rng := newTestRand(930)
+	user := speech.RandomProfile("staleuser", rng)
+	if err := v.Enroll("staleuser", [][]*audio.Signal{renderUtterances(t, user, "313131", 2, rng)}); err != nil {
+		t.Fatal(err)
 	}
 	if err := v.EnableFastPath(FastPathConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	direct, err := v.Score("victim", f.genuine)
+	v.usersMu.RLock()
+	old := v.users["staleuser"]
+	v.usersMu.RUnlock()
+	if err := v.Enroll("staleuser", [][]*audio.Signal{renderUtterances(t, user, "575757", 2, rng)}); err != nil {
+		t.Fatal(err)
+	}
+	// The in-flight verify that read the old model completes now.
+	if _, err := v.fast.speakerModel("staleuser", old); err != nil {
+		t.Fatal(err)
+	}
+	v.usersMu.RLock()
+	cur := v.users["staleuser"]
+	v.usersMu.RUnlock()
+	sm, err := v.fast.speakerModel("staleuser", cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	topC, _ := v.FastPath()
-	cs := &countingShortlister{sm: v.CompiledUBM(), topC: topC}
-	if err := v.SetUBMShortlister(cs); err != nil {
-		t.Fatal(err)
-	}
-	routed, err := v.Score("victim", f.genuine)
+	digests, err := v.ModelDigests()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.calls != 1 {
-		t.Errorf("shortlister served %d calls, want 1", cs.calls)
-	}
-	if routed != direct {
-		t.Errorf("routed score %v differs from direct fast score %v", routed, direct)
-	}
-	if err := v.SetUBMShortlister(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.Score("victim", f.genuine); err != nil {
-		t.Fatal(err)
-	}
-	if cs.calls != 1 {
-		t.Errorf("detached shortlister still served calls (%d)", cs.calls)
+	if want := digests["asv/user/staleuser"]; sm.Digest() != want {
+		t.Errorf("fast path compiled model %.12s after re-enrollment, want the enrolled %.12s", sm.Digest(), want)
 	}
 }
 

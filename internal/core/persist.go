@@ -54,9 +54,9 @@ func (v *SpeakerVerifier) Save(w io.Writer) error {
 	}
 	v.usersMu.RLock()
 	defer v.usersMu.RUnlock()
-	for name, ver := range v.users {
+	for name, e := range v.users {
 		buf.Reset()
-		if err := ver.Speaker.Save(&buf); err != nil {
+		if err := e.ver.Speaker.Save(&buf); err != nil {
 			return fmt.Errorf("core: saving speaker model %q: %w", name, err)
 		}
 		dto.Users[name] = append([]byte(nil), buf.Bytes()...)
@@ -95,7 +95,7 @@ func LoadSpeakerVerifier(r io.Reader) (*SpeakerVerifier, error) {
 		ubm:       ubm,
 		relevance: dto.Relevance,
 		Threshold: dto.Threshold,
-		users:     make(map[string]*gmm.Verifier),
+		users:     make(map[string]enrollment),
 		isvUsers:  make(map[string]*gmm.ISVSpeaker),
 	}
 	if len(dto.ISV) > 0 {
@@ -113,7 +113,11 @@ func LoadSpeakerVerifier(r io.Reader) (*SpeakerVerifier, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: loading speaker model %q: %w", name, err)
 		}
-		v.users[name] = &gmm.Verifier{UBM: ubm, Speaker: spk}
+		e, err := newEnrollment(name, &gmm.Verifier{UBM: ubm, Speaker: spk})
+		if err != nil {
+			return nil, err
+		}
+		v.users[name] = e
 	}
 	for name, ref := range dto.ISVUsers {
 		if v.isv == nil {

@@ -52,7 +52,7 @@ type SpeakerVerifier struct {
 	// usersMu guards users and isvUsers: the server enrolls while
 	// other requests verify.
 	usersMu  sync.RWMutex
-	users    map[string]*gmm.Verifier
+	users    map[string]enrollment
 	isvUsers map[string]*gmm.ISVSpeaker
 
 	// fast is the compiled top-C scoring state; nil selects the exact
@@ -60,12 +60,24 @@ type SpeakerVerifier struct {
 	fast *fastASV
 }
 
-// UBMShortlister is the seam the serving layer's cross-request batcher
-// plugs into: it produces the per-frame UBM top-C shortlist the fast
-// scoring path consumes. The result must be bit-identical to a direct
-// gmm.ScoringModel.TopC call over the same frames.
-type UBMShortlister interface {
-	ScoreUBM(frames [][]float64) (*gmm.Shortlist, error)
+// enrollment is one GMM-UBM user: the MAP-adapted verifier and the
+// content digest of its speaker model. The digest is computed once,
+// when the model is made, and travels with it, so the fast path's
+// compiled-model cache key always names the model being scored — a
+// verify racing a re-enrollment scores the old model or the new one,
+// never the new one's key bound to the old model.
+type enrollment struct {
+	ver    *gmm.Verifier
+	digest string
+}
+
+// newEnrollment digests ver's speaker model.
+func newEnrollment(user string, ver *gmm.Verifier) (enrollment, error) {
+	dig, err := gmm.ModelDigest(ver.Speaker)
+	if err != nil {
+		return enrollment{}, fmt.Errorf("core: digesting speaker model %q: %w", user, err)
+	}
+	return enrollment{ver: ver, digest: dig}, nil
 }
 
 // FastPathConfig configures EnableFastPath.
@@ -80,17 +92,11 @@ type FastPathConfig struct {
 }
 
 // fastASV is the compiled scoring state behind the fast path: the
-// compiled UBM, the speaker-model cache, the optional batching seam, and
-// a per-user memo of speaker-model digests (computing a digest
-// serializes the model, which must not happen per request).
+// compiled UBM and the speaker-model cache.
 type fastASV struct {
-	topC        int
-	ubm         *gmm.ScoringModel
-	cache       *gmm.ModelCache
-	shortlister UBMShortlister
-
-	mu      sync.Mutex
-	digests map[string]string
+	topC  int
+	ubm   *gmm.ScoringModel
+	cache *gmm.ModelCache
 }
 
 // SpeakerVerifierConfig configures training.
@@ -154,7 +160,7 @@ func TrainSpeakerVerifier(background map[string][][]*audio.Signal, cfg SpeakerVe
 		backend:   cfg.Backend,
 		mfcc:      *cfg.MFCC,
 		relevance: cfg.Relevance,
-		users:     make(map[string]*gmm.Verifier),
+		users:     make(map[string]enrollment),
 		isvUsers:  make(map[string]*gmm.ISVSpeaker),
 	}
 	// Iterate speakers in sorted order: map order would otherwise make
@@ -240,17 +246,13 @@ func (v *SpeakerVerifier) Enroll(user string, sessions [][]*audio.Signal) error 
 		if err != nil {
 			return fmt.Errorf("core: GMM enrollment for %q: %w", user, err)
 		}
-		v.usersMu.Lock()
-		v.users[user] = ver
-		v.usersMu.Unlock()
-		if f := v.fast; f != nil {
-			// Re-enrollment produces a new model: drop the stale digest
-			// memo so the next score compiles the fresh one (the old
-			// cache entry ages out by LRU).
-			f.mu.Lock()
-			delete(f.digests, user)
-			f.mu.Unlock()
+		e, err := newEnrollment(user, ver)
+		if err != nil {
+			return err
 		}
+		v.usersMu.Lock()
+		v.users[user] = e
+		v.usersMu.Unlock()
 	}
 	return nil
 }
@@ -285,15 +287,15 @@ func (v *SpeakerVerifier) ScoreSpan(span *telemetry.Span, user string, utt *audi
 		return spk.ScoreSpan(sc, frames)
 	default:
 		v.usersMu.RLock()
-		ver, ok := v.users[user]
+		e, ok := v.users[user]
 		v.usersMu.RUnlock()
 		if !ok {
 			return 0, fmt.Errorf("%w: %q", ErrUnknownUser, user)
 		}
 		if f := v.fast; f != nil {
-			return f.score(sc, user, ver, frames)
+			return f.score(sc, user, e, frames)
 		}
-		return ver.ScoreSpan(sc, frames), nil
+		return e.ver.ScoreSpan(sc, frames), nil
 	}
 }
 
@@ -331,10 +333,6 @@ func (v *SpeakerVerifier) VerifySpan(span *telemetry.Span, user string, utt *aud
 // Backend returns the configured back-end.
 func (v *SpeakerVerifier) Backend() Backend { return v.backend }
 
-// CalibrateThreshold sets the accept threshold from held-out genuine
-// utterances of an enrolled user: the minimum genuine score minus the
-// safety margin, i.e. the paper's zero-FRR operating point. Margin > 0
-// trades FAR headroom for robustness to genuine-score variation.
 // EnableFastPath switches the GMM-UBM backend to the compiled top-C
 // scoring path: the UBM is compiled once, speaker models compile on
 // first use into the configured cache, and each verify scores the
@@ -362,65 +360,28 @@ func (v *SpeakerVerifier) EnableFastPath(cfg FastPathConfig) error {
 	if cache == nil {
 		cache = gmm.NewModelCache(0, gmm.CacheMetrics{})
 	}
-	v.fast = &fastASV{topC: cfg.TopC, ubm: sm, cache: cache, digests: map[string]string{}}
+	v.fast = &fastASV{topC: cfg.TopC, ubm: sm, cache: cache}
 	return nil
 }
 
 // DisableFastPath returns to the exact scoring path.
 func (v *SpeakerVerifier) DisableFastPath() { v.fast = nil }
 
-// FastPath reports whether the compiled scoring path is enabled and, if
-// so, its shortlist width.
-func (v *SpeakerVerifier) FastPath() (topC int, enabled bool) {
-	if v.fast == nil {
-		return 0, false
-	}
-	return v.fast.topC, true
-}
-
-// CompiledUBM returns the compiled UBM of the fast path (nil when
-// disabled) — what the serving layer's batcher scores against.
-func (v *SpeakerVerifier) CompiledUBM() *gmm.ScoringModel {
-	if v.fast == nil {
-		return nil
-	}
-	return v.fast.ubm
-}
-
-// SetUBMShortlister routes the fast path's UBM pass through b — the
-// server's cross-request batcher. Requires EnableFastPath first; nil
-// restores direct scoring.
-func (v *SpeakerVerifier) SetUBMShortlister(b UBMShortlister) error {
-	if v.fast == nil {
-		return errors.New("core: enable the fast ASV path before attaching a shortlister")
-	}
-	v.fast.shortlister = b
-	return nil
-}
-
-// score runs one fast-path verification: UBM shortlist (direct or
-// batched), cached speaker-model compile, shortlist-restricted speaker
-// pass, LLR.
-func (f *fastASV) score(span *telemetry.Span, user string, ver *gmm.Verifier, frames [][]float64) (float64, error) {
+// score runs one fast-path verification: UBM shortlist, cached
+// speaker-model compile, shortlist-restricted speaker pass, LLR.
+func (f *fastASV) score(span *telemetry.Span, user string, e enrollment, frames [][]float64) (float64, error) {
 	if len(frames) == 0 {
 		return math.Inf(-1), nil
 	}
 	span.SetString("scoring_path", "fast-topc")
 	span.SetInt("top_c", int64(f.topC))
 	us := span.StartSpan("ubm-shortlist")
-	var sl *gmm.Shortlist
-	var err error
-	if f.shortlister != nil {
-		us.SetBool("batched", true)
-		sl, err = f.shortlister.ScoreUBM(frames)
-	} else {
-		sl, err = f.ubm.TopC(frames, f.topC)
-	}
+	sl, err := f.ubm.TopC(frames, f.topC)
 	us.End()
 	if err != nil {
 		return 0, fmt.Errorf("core: UBM shortlist for %q: %w", user, err)
 	}
-	sm, err := f.speakerModel(user, ver)
+	sm, err := f.speakerModel(user, e)
 	if err != nil {
 		return 0, err
 	}
@@ -435,29 +396,20 @@ func (f *fastASV) score(span *telemetry.Span, user string, ver *gmm.Verifier, fr
 	return llr, nil
 }
 
-// speakerModel returns the user's compiled speaker model, memoizing the
-// model digest per user and compiling through the LRU cache.
-func (f *fastASV) speakerModel(user string, ver *gmm.Verifier) (*gmm.ScoringModel, error) {
-	f.mu.Lock()
-	dig, ok := f.digests[user]
-	f.mu.Unlock()
-	if !ok {
-		var err error
-		dig, err = gmm.ModelDigest(ver.Speaker)
-		if err != nil {
-			return nil, fmt.Errorf("core: digesting speaker model %q: %w", user, err)
-		}
-		f.mu.Lock()
-		f.digests[user] = dig
-		f.mu.Unlock()
-	}
-	sm, err := f.cache.Get(dig, func() (*gmm.ScoringModel, error) { return gmm.Compile(ver.Speaker) })
+// speakerModel returns the enrollment's compiled speaker model through
+// the LRU cache, keyed by the digest stored with it.
+func (f *fastASV) speakerModel(user string, e enrollment) (*gmm.ScoringModel, error) {
+	sm, err := f.cache.Get(e.digest, func() (*gmm.ScoringModel, error) { return gmm.Compile(e.ver.Speaker) })
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling speaker model %q: %w", user, err)
 	}
 	return sm, nil
 }
 
+// CalibrateThreshold sets the accept threshold from held-out genuine
+// utterances of an enrolled user: the minimum genuine score minus the
+// safety margin, i.e. the paper's zero-FRR operating point. Margin > 0
+// trades FAR headroom for robustness to genuine-score variation.
 // unit: margin score
 func (v *SpeakerVerifier) CalibrateThreshold(user string, genuine []*audio.Signal, margin float64) error {
 	if len(genuine) == 0 {

@@ -58,7 +58,7 @@ const ScoringLayout = "f32-soa-v1"
 
 // fastMinParallel is the frame count below which the compiled kernels
 // run serially: at ~150 ns/frame the fork-join overhead only pays for
-// itself on batched scoring passes, not on one short utterance.
+// itself on long inputs, not on one short utterance.
 const fastMinParallel = 256
 
 // ScoringModel is a GMM compiled for the fast scoring path: quantized
@@ -336,11 +336,9 @@ func expNeg(x float64) float64 {
 
 // TopC runs the UBM pass of the fast path: every frame is scored against
 // the full model once and its C best components are kept. Frames fan out
-// across cores for large inputs (batched passes); the per-frame results
-// are independent of the partition, so the output is bit-identical at
-// any worker count — and a batched pass over concatenated requests
-// returns exactly the bits each request would have computed alone. c is
-// clamped to the component count; c = NumComponents makes LL the full
+// across cores for large inputs; the per-frame results are independent
+// of the partition, so the output is bit-identical at any worker count.
+// c is clamped to the component count; c = NumComponents makes LL the full
 // (quantized) log-likelihood.
 func (m *ScoringModel) TopC(frames [][]float64, c int) (*Shortlist, error) {
 	if c < 1 {

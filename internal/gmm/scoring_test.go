@@ -299,7 +299,7 @@ func TestShortlistSweep(t *testing.T) {
 
 // TestFastScoringDeterministic pins partition independence: the fan-out
 // across workers must produce bit-identical shortlists and scores at any
-// GOMAXPROCS, which is also what makes cross-request batching exact.
+// GOMAXPROCS.
 func TestFastScoringDeterministic(t *testing.T) {
 	f := loadMFCCFixture(t)
 	ubm, spk := compileFixture(t, f)

@@ -1,64 +1,39 @@
 package server
 
-// Fast ASV serving path: compiled-model scoring, a hot speaker-model
-// cache, and cross-request UBM batching. The server owns the wiring —
-// metric plumbing, option surface and the batcher's lifecycle — while
-// the mechanics live in internal/gmm and internal/core.
+// Fast ASV serving path: compiled-model scoring and a hot speaker-model
+// cache. The server owns the wiring — metric plumbing and the option
+// surface — while the mechanics live in internal/gmm and internal/core.
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"voiceguard/internal/core"
 	"voiceguard/internal/gmm"
 	"voiceguard/internal/telemetry"
 )
 
-// asvBatchBuckets buckets the batch-size histogram: batches coalesce at
-// most a handful of concurrent verifies, so powers of two up to 64
-// resolve the interesting range (1 = no coalescing happened).
-var asvBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
-
 // WithASVFastPath serves speaker verification through the compiled
-// top-C shortlist path instead of exact per-frame scoring. topC ≤ 0
-// uses gmm.DefaultShortlistC. Scores stay within gmm.ShortlistEpsilon
-// nat/frame of the exact path at the default width; the pipeline is
+// top-C shortlist path (gmm.DefaultShortlistC components per frame)
+// instead of exact per-frame scoring. Scores stay within
+// gmm.ShortlistEpsilon nat/frame of the exact path; the pipeline is
 // otherwise unchanged. Requires the attached system to carry a GMM-UBM
 // identity stage — New fails otherwise.
-func WithASVFastPath(topC int) Option {
-	return func(s *Server) {
-		s.asvFast = true
-		s.asvTopC = topC
-	}
+func WithASVFastPath() Option {
+	return func(s *Server) { s.asvFast = true }
 }
 
 // WithASVModelCache sizes the hot compiled-speaker-model LRU (default
 // gmm.DefaultModelCacheSize). Only meaningful together with
-// WithASVFastPath / WithASVBatching; cache traffic is exported through
-// the model-cache metric families.
+// WithASVFastPath; cache traffic is exported through the model-cache
+// metric families.
 func WithASVModelCache(n int) Option {
 	return func(s *Server) { s.asvCacheSize = n }
 }
 
-// WithASVBatching coalesces concurrent verifications' UBM passes into
-// one matrix-shaped scoring call: each verify's frames join a bounded
-// window (default gmm.DefaultBatchWindow / gmm.DefaultBatchMaxFrames
-// for window ≤ 0 / maxFrames ≤ 0) and the combined batch runs one
-// parallel fan-out instead of one per request. Per-frame results are
-// independent of how frames are grouped, so batched scores are
-// bit-identical to unbatched ones. Implies WithASVFastPath.
-func WithASVBatching(window time.Duration, maxFrames int) Option {
-	return func(s *Server) {
-		s.asvBatch = true
-		s.asvBatchWindow = window
-		s.asvBatchFrames = maxFrames
-	}
-}
-
 // enableFastASV compiles the identity stage's scoring models and wires
-// the cache (and, when configured, the cross-request batcher) with
-// their metric families. Called from New after the registry exists.
+// the cache with its metric families. Called from New after the
+// registry exists.
 func (s *Server) enableFastASV() error {
 	id := s.system.Identity
 	if id == nil {
@@ -77,27 +52,8 @@ func (s *Server) enableFastASV() error {
 	s.asvCache = cache
 	s.asvCacheHits = metrics.Hits
 	s.asvCacheMiss = metrics.Misses
-	if err := id.EnableFastPath(core.FastPathConfig{TopC: s.asvTopC, Cache: cache}); err != nil {
+	if err := id.EnableFastPath(core.FastPathConfig{Cache: cache}); err != nil {
 		return fmt.Errorf("server: enabling ASV fast path: %w", err)
 	}
-	if !s.asvBatch {
-		return nil
-	}
-	hist := r.Histogram(MetricASVBatchSize, asvBatchBuckets, nil)
-	r.SetHelp(MetricASVBatchSize, "verify requests coalesced per batched UBM scoring pass")
-	topC, _ := id.FastPath()
-	b, err := gmm.NewBatcher(id.CompiledUBM(), gmm.BatchConfig{
-		Window:    s.asvBatchWindow,
-		MaxFrames: s.asvBatchFrames,
-		TopC:      topC,
-		OnFlush:   func(requests, frames int) { hist.Observe(float64(requests)) },
-	})
-	if err != nil {
-		return fmt.Errorf("server: building ASV batcher: %w", err)
-	}
-	if err := id.SetUBMShortlister(b); err != nil {
-		return fmt.Errorf("server: attaching ASV batcher: %w", err)
-	}
-	s.batcher = b
 	return nil
 }

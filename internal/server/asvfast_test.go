@@ -1,8 +1,8 @@
 package server
 
-// End-to-end coverage of the batched ASV serving path: concurrent
-// verifies coalesce into shared UBM passes without changing a single
-// score bit, and the batching/cache metric families land on /metrics in
+// End-to-end coverage of the fast ASV serving path: concurrent verifies
+// score bit-for-bit like a serial one and share one compiled speaker
+// model, and the model-cache metric families land on /metrics in
 // strict-parser-conformant shape.
 
 import (
@@ -21,16 +21,16 @@ import (
 	"voiceguard/internal/speech"
 )
 
-// batchFixtureSeed drives every random choice in the batched-ASV
-// fixtures so two independently built servers hold bit-identical models.
-const batchFixtureSeed = 940
+// asvFixtureSeed drives every random choice in the fast-ASV fixtures so
+// two independently built servers hold bit-identical models.
+const asvFixtureSeed = 940
 
-// trainBatchVerifier trains a deterministic GMM-UBM verifier (16
+// trainASVVerifier trains a deterministic GMM-UBM verifier (16
 // components, so the default shortlist truly truncates) and enrolls one
 // victim; calling it twice yields bit-identical state.
-func trainBatchVerifier(t *testing.T) (*core.SpeakerVerifier, speech.Profile) {
+func trainASVVerifier(t *testing.T) (*core.SpeakerVerifier, speech.Profile) {
 	t.Helper()
-	roster := speech.NewRoster(4, batchFixtureSeed)
+	roster := speech.NewRoster(4, asvFixtureSeed)
 	utts, err := roster.Generate(speech.CorpusConfig{Sessions: 2, UtterancesPerSession: 2, Digits: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -50,12 +50,12 @@ func trainBatchVerifier(t *testing.T) (*core.SpeakerVerifier, speech.Profile) {
 		}
 	}
 	verifier, err := core.TrainSpeakerVerifier(bg, core.SpeakerVerifierConfig{
-		Components: 16, Seed: batchFixtureSeed,
+		Components: 16, Seed: asvFixtureSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(batchFixtureSeed + 1))
+	rng := rand.New(rand.NewSource(asvFixtureSeed + 1))
 	victim := speech.RandomProfile("carol", rng)
 	synth, err := speech.NewSynthesizer(victim, rng)
 	if err != nil {
@@ -84,7 +84,7 @@ func fastServer(t *testing.T, opts ...Option) (*httptest.Server, speech.Profile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifier, victim := trainBatchVerifier(t)
+	verifier, victim := trainASVVerifier(t)
 	sys.AttachIdentity(verifier)
 	srv, err := New(sys, nil, opts...)
 	if err != nil {
@@ -112,31 +112,23 @@ func speakerIDScore(t *testing.T, res *client.Result) float64 {
 	return 0
 }
 
-func TestBatchedVerifyMatchesUnbatchedBitExact(t *testing.T) {
-	batched, victim := fastServer(t, WithASVBatching(0, 0))
-	plain, _ := fastServer(t, WithASVFastPath(0))
-
+// TestConcurrentFastVerifyMatchesSerialBitExact runs concurrent
+// verifies through one fast-path server: each stage-4 score must equal a
+// serial verify's bit for bit, and the one enrolled model compiles once.
+func TestConcurrentFastVerifyMatchesSerialBitExact(t *testing.T) {
+	ts, victim := fastServer(t, WithASVFastPath())
 	genuine, err := attack.Genuine(victim, attack.Scenario{
-		ClaimedUser: "carol", Passphrase: "271828", Seed: batchFixtureSeed + 2,
+		ClaimedUser: "carol", Passphrase: "271828", Seed: asvFixtureSeed + 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainRes, err := client.New(plain.URL).Verify(genuine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := speakerIDScore(t, plainRes)
 
-	// Concurrent verifies against the batched server: frames from
-	// different requests coalesce into shared UBM passes, and every
-	// response must still carry the exact same stage-4 score — per-frame
-	// results are independent of batch grouping.
 	const concurrency = 8
 	scores := make([]float64, concurrency)
 	errs := make([]error, concurrency)
 	var wg sync.WaitGroup
-	c := client.New(batched.URL)
+	c := client.New(ts.URL)
 	for i := 0; i < concurrency; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -150,24 +142,10 @@ func TestBatchedVerifyMatchesUnbatchedBitExact(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	for i := 0; i < concurrency; i++ {
-		if errs[i] != nil {
-			t.Fatalf("batched verify %d: %v", i, errs[i])
-		}
-		if scores[i] != want {
-			t.Errorf("batched verify %d score = %v, want unbatched %v (bit-exact)", i, scores[i], want)
-		}
-	}
 
-	// Serving metrics: every flush observes the batch-size histogram, and
-	// eight scorings of one enrolled model are one compile plus cache hits.
-	m := scrapeMetrics(t, batched.URL)
-	if n := m[MetricASVBatchSize+"_count"]; n < 1 {
-		t.Errorf("batch-size histogram count = %v, want ≥ 1", n)
-	}
-	if n := m[MetricASVBatchSize+`_bucket{le="+Inf"}`]; n < 1 {
-		t.Errorf("batch-size +Inf bucket = %v, want ≥ 1", n)
-	}
+	// Eight scorings of one enrolled model are one compile plus cache
+	// hits; the cache compiles single-flight under its lock.
+	m := scrapeMetrics(t, ts.URL)
 	if miss := m[MetricASVModelCacheEvents+`{event="miss"}`]; miss != 1 {
 		t.Errorf("model-cache misses = %v, want exactly 1 (one enrolled model)", miss)
 	}
@@ -177,16 +155,29 @@ func TestBatchedVerifyMatchesUnbatchedBitExact(t *testing.T) {
 	if b := m[MetricASVModelCacheBytes]; b <= 0 {
 		t.Errorf("model-cache resident bytes = %v, want > 0", b)
 	}
+
+	serial, err := c.Verify(genuine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := speakerIDScore(t, serial)
+	for i := 0; i < concurrency; i++ {
+		if errs[i] != nil {
+			t.Fatalf("concurrent verify %d: %v", i, errs[i])
+		}
+		if scores[i] != want {
+			t.Errorf("concurrent verify %d score = %v, want serial %v (bit-exact)", i, scores[i], want)
+		}
+	}
 }
 
 // TestASVMetricsConformance pins the serving-path metric families —
-// batch-size histogram, model-cache counters, resident-bytes gauge — to
-// the strict Prometheus text-format contract alongside the rest of the
-// exposition.
+// model-cache counters and resident-bytes gauge — to the strict
+// Prometheus text-format contract alongside the rest of the exposition.
 func TestASVMetricsConformance(t *testing.T) {
-	ts, victim := fastServer(t, WithASVBatching(0, 0), WithASVModelCache(4))
+	ts, victim := fastServer(t, WithASVFastPath(), WithASVModelCache(4))
 	genuine, err := attack.Genuine(victim, attack.Scenario{
-		ClaimedUser: "carol", Passphrase: "271828", Seed: batchFixtureSeed + 3,
+		ClaimedUser: "carol", Passphrase: "271828", Seed: asvFixtureSeed + 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,9 +196,6 @@ func TestASVMetricsConformance(t *testing.T) {
 		found[s.name] = true
 	}
 	for _, name := range []string{
-		MetricASVBatchSize + "_count",
-		MetricASVBatchSize + "_sum",
-		MetricASVBatchSize + "_bucket",
 		MetricASVModelCacheEvents,
 		MetricASVModelCacheBytes,
 	} {

@@ -43,7 +43,6 @@ const (
 	MetricRequestTooLarge  = "voiceguard_request_too_large_total"
 
 	// ASV fast-path series (registered only when the fast path is on).
-	MetricASVBatchSize        = "voiceguard_asv_batch_size"
 	MetricASVModelCacheEvents = "voiceguard_asv_model_cache_events_total"
 	MetricASVModelCacheBytes  = "voiceguard_asv_model_cache_resident_bytes"
 )
@@ -84,16 +83,9 @@ type Server struct {
 	retainer      *evidenceRetainer
 	spoolWG       sync.WaitGroup
 
-	// ASV fast path: compiled top-C scoring with a speaker-model cache,
-	// optionally batching concurrent verifies' UBM passes (batcher is
-	// non-nil only with WithASVBatching; Shutdown closes it).
-	asvFast        bool
-	asvTopC        int
-	asvCacheSize   int
-	asvBatch       bool
-	asvBatchWindow time.Duration
-	asvBatchFrames int
-	batcher        *gmm.Batcher
+	// ASV fast path: compiled top-C scoring with a speaker-model cache.
+	asvFast      bool
+	asvCacheSize int
 
 	// Verify outcome counters. Total requests is their sum, so the
 	// Requests == Accepted+Rejected+Errors+DeadlineExceeded+Shed
@@ -285,7 +277,7 @@ func New(system *core.System, logger *slog.Logger, opts ...Option) (*Server, err
 	r.SetHelp(MetricStageLatency, "per-stage pipeline latency")
 	s.initStream()
 	s.initObservability()
-	if s.asvFast || s.asvBatch {
+	if s.asvFast {
 		if err := s.enableFastASV(); err != nil {
 			return nil, err
 		}
@@ -456,8 +448,8 @@ func (s *Server) handleVoiceprint(w http.ResponseWriter, r *http.Request) {
 
 // Stats returns a snapshot of the request counters. Requests is derived
 // as the sum of the outcome counters, so the Requests ==
-// Accepted+Rejected+Errors invariant cannot be violated by interleaved
-// updates.
+// Accepted+Rejected+Errors+DeadlineExceeded+Shed invariant cannot be
+// violated by interleaved updates.
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Accepted:         s.accepted.Value(),
@@ -471,7 +463,7 @@ func (s *Server) Stats() Stats {
 }
 
 // asvHealth reports the fast-ASV serving state on /healthz: model-cache
-// residency and traffic, plus batcher queue depth when batching is on.
+// residency and traffic.
 type asvHealth struct {
 	// CacheEntries and CacheResidentBytes describe the compiled
 	// speaker-model LRU.
@@ -482,11 +474,6 @@ type asvHealth struct {
 	CacheHits     int64   `json:"cache_hits"`
 	CacheMisses   int64   `json:"cache_misses"`
 	CacheHitRatio float64 `json:"cache_hit_ratio"` // unit: dimensionless
-	// Batching reports whether cross-request UBM batching is on;
-	// QueueDepth/PendingFrames are its current coalescing state.
-	Batching      bool `json:"batching"`
-	QueueDepth    int  `json:"queue_depth,omitempty"`
-	PendingFrames int  `json:"pending_frames,omitempty"`
 }
 
 // healthResponse is the /healthz readiness document.
@@ -511,14 +498,9 @@ func (s *Server) asvHealthSnapshot() *asvHealth {
 		CacheResidentBytes: s.asvCache.ResidentBytes(),
 		CacheHits:          s.asvCacheHits.Value(),
 		CacheMisses:        s.asvCacheMiss.Value(),
-		Batching:           s.batcher != nil,
 	}
 	if total := h.CacheHits + h.CacheMisses; total > 0 {
 		h.CacheHitRatio = float64(h.CacheHits) / float64(total)
-	}
-	if s.batcher != nil {
-		h.QueueDepth = s.batcher.QueueDepth()
-		h.PendingFrames = s.batcher.PendingFrames()
 	}
 	return h
 }
@@ -830,11 +812,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.shutdownStream(ctx)
 	s.spoolWG.Wait()
-	if s.batcher != nil {
-		// After the drain: pending batches flush, and any straggler
-		// submission scores directly instead of blocking.
-		s.batcher.Close()
-	}
 	return err
 }
 
