@@ -12,6 +12,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
 
 	"voiceguard/internal/audio"
 	"voiceguard/internal/dsp"
@@ -192,6 +195,12 @@ type RecoverConfig struct {
 // a rate that is not finite and positive, a pilot outside (0, rate/2),
 // or samples that make a block's I/Q non-finite.
 func Recover(capture *audio.Signal, cfg RecoverConfig) (*Displacement, error) {
+	return recoverWith(capture, cfg, demodulate)
+}
+
+// recoverWith is Recover with the demodulator as a parameter, so tests
+// can run the same checks and phase recovery over a reference one.
+func recoverWith(capture *audio.Signal, cfg RecoverConfig, demod func(samples []float64, w float64, blockSize, n int) []complex128) (*Displacement, error) {
 	rate := capture.Rate
 	if !finite(rate) || rate <= 0 {
 		return nil, fmt.Errorf("ranging: bad capture rate %v", rate)
@@ -209,7 +218,7 @@ func Recover(capture *audio.Signal, cfg RecoverConfig) (*Displacement, error) {
 	if n < 3 {
 		return nil, ErrCaptureTooShort
 	}
-	iq := demodulate(capture.Samples, 2*math.Pi*cfg.Freq/rate, cfg.BlockSize, n)
+	iq := demod(capture.Samples, 2*math.Pi*cfg.Freq/rate, cfg.BlockSize, n)
 	for b, z := range iq {
 		if !finite(real(z)) || !finite(imag(z)) {
 			return nil, fmt.Errorf("ranging: non-finite I/Q in block %d", b)
@@ -234,7 +243,7 @@ func Recover(capture *audio.Signal, cfg RecoverConfig) (*Displacement, error) {
 		d := iq[b] - iq[b-1]
 		steps = append(steps, math.Hypot(real(d), imag(d)))
 	}
-	insertionSortFloats(steps)
+	slices.Sort(steps)
 	gate := 0.0
 	if len(steps) > 0 {
 		gate = 3 * steps[len(steps)/2] / math.Sqrt2
@@ -262,28 +271,165 @@ func Recover(capture *audio.Signal, cfg RecoverConfig) (*Displacement, error) {
 }
 
 // demodulate mixes the first n blocks of samples down to baseband with
-// the pilot phasor e^{-iwk} and sums each block to one I/Q value. Blocks
-// are independent and each block's sum runs serially in sample order, so
-// the fan-out leaves every bit as a serial loop would. One Sincos per
-// sample shares the argument reduction that separate Sin and Cos calls
-// would each repeat, and returns the same bits (Go's pure-Go Sincos uses
-// the same reduction and polynomials as its Sin and Cos).
+// the pilot phasor e^{-iwk} and sums each block to one I/Q value. The
+// phasors come from the cached table for w. On a miss each block first
+// fills its own span of a new table, which is cached once every block is
+// done; a block past the table cap fills a per-range scratch instead.
+// Blocks are independent and each block's sum runs serially in sample
+// order over the same Sincos values, so every I/Q value carries the bits
+// of a per-sample Sincos loop at any GOMAXPROCS, hit or miss.
 // unit: w rad
 func demodulate(samples []float64, w float64, blockSize, n int) []complex128 {
+	bits := math.Float64bits(w)
+	need := min(n*blockSize, maxTablePhasors)
+	table := cachedPhasors(bits, need)
+	fresh := table == nil
+	if fresh {
+		table = make([]complex128, need)
+	}
 	iq := make([]complex128, n)
 	parallel.Range(n, func(lo, hi int) {
+		var scratch []complex128
 		for b := lo; b < hi; b++ {
-			var re, im float64
 			off := b * blockSize
+			ph := table[min(off, len(table)):min(off+blockSize, len(table))]
+			if fresh {
+				fillPhasors(ph, w, off)
+			}
+			if len(ph) < blockSize {
+				if scratch == nil {
+					scratch = make([]complex128, blockSize)
+				}
+				fillPhasors(scratch, w, off)
+				ph = scratch
+			}
+			var re, im float64
 			for k, v := range samples[off : off+blockSize] {
-				sin, cos := math.Sincos(w * float64(off+k))
-				re += v * cos
-				im += v * -sin
+				re += v * real(ph[k])
+				im += v * imag(ph[k])
 			}
 			iq[b] = complex(re, im)
 		}
 	})
+	if fresh {
+		cachePhasors(bits, table)
+	}
 	return iq
+}
+
+// fillPhasors sets dst[k] = e^{-iw(off+k)}. One Sincos per sample shares
+// the argument reduction that separate Sin and Cos calls would each
+// repeat, and returns the same bits (Go's pure-Go Sincos uses the same
+// reduction and polynomials as its Sin and Cos). The negation is exact.
+// unit: w rad
+func fillPhasors(dst []complex128, w float64, off int) {
+	for k := range dst {
+		sin, cos := math.Sincos(w * float64(off+k))
+		dst[k] = complex(cos, -sin)
+	}
+}
+
+// A phasor table depends only on the pilot's angular step w, and every
+// session of a deployment uses one of a few pilots, so the tables are
+// kept process-wide; their contents are a pure function of w, so callers
+// sharing them can see each other only in time. The client chooses both
+// the pilot and the capture length, so the cache is bounded: at most
+// maxPhasorTables tables of at most maxTablePhasors entries each (16 B
+// apiece), 8 MiB in all, with the least recently used table evicted
+// first. A table no demodulation used through a whole GC cycle is
+// dropped too, so a process that stops demodulating gives the memory
+// back.
+const (
+	maxPhasorTables = 4
+	maxTablePhasors = 1 << 17 // 2.73 s at 48 kHz, 2 MiB
+)
+
+// phasorTable is e^{-iwk} for k < len(phasors), where wBits holds the
+// bits of w. The phasors are never written after the table enters the
+// cache.
+type phasorTable struct {
+	wBits   uint64
+	phasors []complex128
+	// used reports a demodulation since the last sweep.
+	used bool
+}
+
+// phasorCache holds the tables, most recently used first. While it
+// holds any, a sweep is armed for the end of the next GC cycle.
+var phasorCache struct {
+	mu     sync.Mutex
+	tables []*phasorTable
+	armed  bool
+}
+
+// cachedPhasors returns the cached table for the w whose bits are wBits
+// if it covers at least need samples, and marks it most recently used;
+// otherwise nil.
+func cachedPhasors(wBits uint64, need int) []complex128 {
+	c := &phasorCache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, t := range c.tables {
+		if t.wBits == wBits && len(t.phasors) >= need {
+			copy(c.tables[1:i+1], c.tables[:i])
+			c.tables[0] = t
+			t.used = true
+			return t.phasors
+		}
+	}
+	return nil
+}
+
+// cachePhasors caches a filled table as the most recently used, in place
+// of any table for the same w, and evicts the least recently used table
+// past maxPhasorTables.
+func cachePhasors(wBits uint64, phasors []complex128) {
+	c := &phasorCache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// A fresh slice of capacity maxPhasorTables, so no backing array
+	// keeps an evicted table alive.
+	kept := append(make([]*phasorTable, 0, maxPhasorTables), &phasorTable{wBits: wBits, phasors: phasors, used: true})
+	for _, t := range c.tables {
+		if t.wBits != wBits && len(kept) < maxPhasorTables {
+			kept = append(kept, t)
+		}
+	}
+	c.tables = kept
+	if !c.armed {
+		armSweep()
+	}
+}
+
+// gcTick is allocated only to be collected; its pointer field keeps it
+// out of the tiny allocator, whose objects may never be finalized.
+type gcTick struct{ _ *int }
+
+// armSweep makes the GC cycle that frees a fresh gcTick run
+// sweepPhasors. The caller holds phasorCache.mu.
+func armSweep() {
+	phasorCache.armed = true
+	runtime.SetFinalizer(&gcTick{}, func(*gcTick) { sweepPhasors() })
+}
+
+// sweepPhasors drops the tables no demodulation used since the previous
+// sweep, and re-arms itself while any table is left.
+func sweepPhasors() {
+	c := &phasorCache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	kept := make([]*phasorTable, 0, maxPhasorTables) // as in cachePhasors
+	for _, t := range c.tables {
+		if t.used {
+			t.used = false
+			kept = append(kept, t)
+		}
+	}
+	c.tables = kept
+	c.armed = false
+	if len(kept) > 0 {
+		armSweep()
+	}
 }
 
 // finite reports whether x is neither NaN nor ±Inf.
@@ -322,19 +468,6 @@ func (d *Displacement) Total() float64 {
 		return 0
 	}
 	return d.Dr[len(d.Dr)-1] - d.Dr[0]
-}
-
-// insertionSortFloats sorts a small slice in place.
-func insertionSortFloats(x []float64) {
-	for i := 1; i < len(x); i++ {
-		v := x[i]
-		j := i - 1
-		for j >= 0 && x[j] > v {
-			x[j+1] = x[j]
-			j--
-		}
-		x[j+1] = v
-	}
 }
 
 // SpectrogramOfCapture computes the pilot-band magnitude spectrogram of a

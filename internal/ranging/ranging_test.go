@@ -5,7 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
+	"time"
 
 	"voiceguard/internal/audio"
 	"voiceguard/internal/dsp"
@@ -251,6 +255,21 @@ func recoverSerialOracle(capture *audio.Signal, cfg RecoverConfig) *Displacement
 	return out
 }
 
+// insertionSortFloats is the noise gate's sort as it stood before
+// slices.Sort replaced it; the oracle keeps it so the gate's median is
+// checked against the old ordering too.
+func insertionSortFloats(x []float64) {
+	for i := 1; i < len(x); i++ {
+		v := x[i]
+		j := i - 1
+		for j >= 0 && x[j] > v {
+			x[j+1] = x[j]
+			j--
+		}
+		x[j+1] = v
+	}
+}
+
 // TestRecoverParallelMatchesSerialLoop is the differential check on the
 // demodulator: at any GOMAXPROCS (CI runs it at -cpu=1,4 under -race)
 // every T and Dr must carry the same bits as the serial Sin/Cos loop.
@@ -312,6 +331,272 @@ func TestRecoverParallelMatchesSerialLoop(t *testing.T) {
 	}
 }
 
+// demodulateReference is demodulate before the phasor table: one
+// math.Sincos per sample, blocks in order on one goroutine. It is the
+// bit-exactness reference for the cached, built and scratch phasors.
+func demodulateReference(samples []float64, w float64, blockSize, n int) []complex128 {
+	iq := make([]complex128, n)
+	for b := 0; b < n; b++ {
+		var re, im float64
+		off := b * blockSize
+		for k, v := range samples[off : off+blockSize] {
+			sin, cos := math.Sincos(w * float64(off+k))
+			re += v * cos
+			im += v * -sin
+		}
+		iq[b] = complex(re, im)
+	}
+	return iq
+}
+
+// resetPhasorCache empties the process-wide phasor cache, so the next
+// demodulation of any pilot builds its table.
+func resetPhasorCache() {
+	phasorCache.mu.Lock()
+	phasorCache.tables = nil
+	phasorCache.mu.Unlock()
+}
+
+// cachedPhasorBytes reports the bytes of the tables the phasor cache
+// holds, counting any its slice's spare capacity still references, and
+// the number of tables it holds.
+func cachedPhasorBytes() (bytes, tables int) {
+	phasorCache.mu.Lock()
+	defer phasorCache.mu.Unlock()
+	for _, t := range phasorCache.tables[:cap(phasorCache.tables)] {
+		if t != nil {
+			bytes += 16 * len(t.phasors)
+		}
+	}
+	return bytes, len(phasorCache.tables)
+}
+
+// noiseCapture returns n samples of a unit pilot at freq over Gaussian
+// noise, at the given rate.
+func noiseCapture(freq, rate float64, n int, seed int64) *audio.Signal {
+	rng := rand.New(rand.NewSource(seed))
+	s := &audio.Signal{Rate: rate, Samples: make([]float64, n)}
+	for i := range s.Samples {
+		s.Samples[i] = math.Sin(2*math.Pi*freq*float64(i)/rate) + 0.1*rng.NormFloat64()
+	}
+	return s
+}
+
+// TestDemodulateMatchesSincosReference holds every I/Q value of
+// demodulate to the per-sample Sincos loop, bit for bit, whether its
+// phasors come from a table it builds, a cached table, or per-block
+// scratch past the table cap. CI runs it under -race at -cpu=1,4.
+func TestDemodulateMatchesSincosReference(t *testing.T) {
+	check := func(t *testing.T, name string, samples []float64, w float64, bs int) {
+		t.Helper()
+		n := len(samples) / bs
+		want := demodulateReference(samples, w, bs, n)
+		got := demodulate(samples, w, bs, n)
+		for b := range want {
+			if math.Float64bits(real(got[b])) != math.Float64bits(real(want[b])) ||
+				math.Float64bits(imag(got[b])) != math.Float64bits(imag(want[b])) {
+				t.Fatalf("%s: block %d I/Q = %v, reference %v", name, b, got[b], want[b])
+			}
+		}
+	}
+	// 2.5 s at 48 kHz, and a capture past the table cap that is not a
+	// whole number of blocks.
+	served := noiseCapture(DefaultPilotHz, DefaultRate, 120000, 21).Samples
+	long := noiseCapture(DefaultPilotHz, DefaultRate, maxTablePhasors+2077, 22).Samples
+	pilots := append(DefaultPilotCandidates(), 18321.7)
+	for _, rate := range []float64{44100, 48000} {
+		for _, f := range pilots {
+			w := 2 * math.Pi * f / rate
+			resetPhasorCache()
+			// A short capture builds a short table, a longer one
+			// outgrows it and builds again, and the last call hits.
+			for _, c := range []struct {
+				name    string
+				samples []float64
+			}{
+				{"ragged 0.05 s", served[:2400+77]},
+				{"served", served},
+				{"served, cached", served},
+			} {
+				check(t, fmt.Sprintf("%s, pilot %v Hz at %v Hz", c.name, f, rate), c.samples, w, 256)
+			}
+		}
+	}
+	// Past the cap: at bs=1000 one block straddles the cap, so it fills
+	// the table's tail and then demodulates from scratch; bs=256 then
+	// reads that tail from the cached table.
+	w := 2 * math.Pi * DefaultPilotHz / DefaultRate
+	for _, sizes := range [][]int{{1000, 256, 1000}, {256, 256}} {
+		resetPhasorCache()
+		for _, bs := range sizes {
+			check(t, fmt.Sprintf("past the cap, bs=%d after %v", bs, sizes), long, w, bs)
+		}
+	}
+
+	// First use raced from 8 goroutines: each builds or reads the table
+	// while others insert it, and every result must still match. The
+	// starts are staggered so that later goroutines can find a table an
+	// earlier one is still building.
+	resetPhasorCache()
+	want := demodulateReference(served, w, 256, len(served)/256)
+	results := make([][]complex128, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			time.Sleep(time.Duration(g) * 100 * time.Microsecond)
+			results[g] = demodulate(served, w, 256, len(served)/256)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, got := range results {
+		for b := range want {
+			if math.Float64bits(real(got[b])) != math.Float64bits(real(want[b])) ||
+				math.Float64bits(imag(got[b])) != math.Float64bits(imag(want[b])) {
+				t.Fatalf("goroutine %d: block %d I/Q = %v, reference %v", g, b, got[b], want[b])
+			}
+		}
+	}
+}
+
+// TestPhasorCacheBounded feeds Recover more distinct (pilot, rate) pairs
+// than the cache holds, each with a capture past the table cap, as a
+// hostile client may: the cache must never retain more than
+// maxPhasorTables tables of maxTablePhasors entries (8 MiB), and a pilot
+// used again while cached must be served from its table, not rebuilt.
+func TestPhasorCacheBounded(t *testing.T) {
+	const bound = maxPhasorTables * maxTablePhasors * 16
+	if bound != 8<<20 {
+		t.Fatalf("worst-case cache bytes = %d, documented as 8 MiB", bound)
+	}
+	// No GC cycle may sweep tables out while the test counts them.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	resetPhasorCache()
+	long := maxTablePhasors + 5000
+	for i, rate := range []float64{44100, 48000} {
+		for j, f := range DefaultPilotCandidates()[:maxPhasorTables+1] {
+			if _, err := Recover(noiseCapture(f, rate, long, int64(10*i+j)), RecoverConfig{Freq: f}); err != nil {
+				t.Fatalf("pilot %v Hz at %v Hz: %v", f, rate, err)
+			}
+			bytes, tables := cachedPhasorBytes()
+			if bytes > bound || tables > maxPhasorTables {
+				t.Fatalf("after pilot %v Hz at %v Hz the cache holds %d tables, %d B; bound %d tables, %d B",
+					f, rate, tables, bytes, maxPhasorTables, bound)
+			}
+		}
+	}
+	if bytes, tables := cachedPhasorBytes(); bytes != bound || tables != maxPhasorTables {
+		t.Errorf("full cache holds %d tables, %d B; want %d, %d", tables, bytes, maxPhasorTables, bound)
+	}
+
+	// Demodulating a pilot caches its table, and a longer capture
+	// outgrows a shorter table; a table used again within the last
+	// maxPhasorTables pilots is served from the cache.
+	served := noiseCapture(DefaultPilotHz, DefaultRate, 120000, 99).Samples
+	w := 2 * math.Pi * DefaultPilotHz / DefaultRate
+	n := len(served) / 256
+	demodulate(served, w, 256, 3)
+	demodulate(served, w, 256, n)
+	first := cachedPhasors(math.Float64bits(w), n*256)
+	if len(first) != n*256 {
+		t.Fatalf("cached table for the served capture has %d entries, want %d", len(first), n*256)
+	}
+	for _, f := range DefaultPilotCandidates()[:maxPhasorTables-1] {
+		demodulate(served, 2*math.Pi*f/DefaultRate, 256, 3)
+	}
+	demodulate(served, w, 256, n)
+	if again := cachedPhasors(math.Float64bits(w), n*256); len(again) == 0 || &again[0] != &first[0] {
+		t.Error("a table used within the last maxPhasorTables pilots was rebuilt")
+	}
+}
+
+// TestPhasorCacheDropsIdleTables checks the sweep that follows each GC
+// cycle: a table used since the previous sweep stays, one left unused
+// through a whole cycle is dropped, and the GC runs the sweep by itself.
+func TestPhasorCacheDropsIdleTables(t *testing.T) {
+	resetPhasorCache()
+	served := noiseCapture(DefaultPilotHz, DefaultRate, 120000, 98).Samples
+	w := 2 * math.Pi * DefaultPilotHz / DefaultRate
+	n := len(served) / 256
+	tables := func() int { _, n := cachedPhasorBytes(); return n }
+
+	demodulate(served, w, 256, n)
+	for i := 0; tables() > 0; i++ {
+		if i == 100 {
+			t.Fatal("100 GC cycles left an unused table cached")
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+
+	// The policy itself, with no GC cycle sweeping in between.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	demodulate(served, w, 256, n)
+	sweepPhasors()
+	if tables() != 1 {
+		t.Fatal("a table used since the last sweep was dropped")
+	}
+	demodulate(served, w, 256, n)
+	sweepPhasors()
+	if tables() != 1 {
+		t.Fatal("a table used again after a sweep was dropped")
+	}
+	sweepPhasors()
+	if tables() != 0 {
+		t.Fatal("a table unused through a whole sweep interval was kept")
+	}
+}
+
+// FuzzRecoverMatchesReference holds Recover to itself run over the
+// reference demodulation, on random samples, pilots, rates and lengths:
+// every Displacement bit, or the same error, must match. Rates and
+// pilots include 0, NaN, ±Inf and out-of-band values; lengths reach past
+// the phasor table cap.
+func FuzzRecoverMatchesReference(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(int64(1), uint32(120000), DefaultPilotHz, DefaultRate)
+	f.Add(int64(2), uint32(maxTablePhasors+300), 17250.0, 44100.0)
+	f.Add(int64(3), uint32(700), 18321.7, DefaultRate)
+	f.Add(int64(4), uint32(5000), 0.0, DefaultRate)
+	f.Add(int64(5), uint32(5000), nan, DefaultRate)
+	f.Add(int64(6), uint32(5000), inf, DefaultRate)
+	f.Add(int64(7), uint32(5000), -inf, DefaultRate)
+	f.Add(int64(8), uint32(5000), DefaultPilotHz, 0.0)
+	f.Add(int64(9), uint32(5000), DefaultPilotHz, nan)
+	f.Add(int64(10), uint32(5000), DefaultPilotHz, inf)
+	f.Add(int64(11), uint32(5000), DefaultPilotHz, -DefaultRate)
+	f.Add(int64(12), uint32(5000), 30000.0, DefaultRate)
+	f.Add(int64(13), uint32(5000), DefaultRate/2, DefaultRate)
+	f.Add(int64(14), uint32(0), DefaultPilotHz, DefaultRate)
+	f.Fuzz(func(t *testing.T, seed int64, length uint32, pilot, rate float64) {
+		n := int(length % (maxTablePhasors + 4096))
+		capture := noiseCapture(DefaultPilotHz, DefaultRate, n, seed)
+		capture.Rate = rate
+		cfg := RecoverConfig{Freq: pilot}
+		got, gotErr := Recover(capture, cfg)
+		want, wantErr := recoverWith(capture, cfg, demodulateReference)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("err = %v, reference %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if len(got.T) != len(want.T) || len(got.Dr) != len(want.Dr) {
+			t.Fatalf("%d/%d blocks, reference %d/%d", len(got.T), len(got.Dr), len(want.T), len(want.Dr))
+		}
+		for b := range want.T {
+			if math.Float64bits(got.T[b]) != math.Float64bits(want.T[b]) ||
+				math.Float64bits(got.Dr[b]) != math.Float64bits(want.Dr[b]) {
+				t.Fatalf("block %d (T, Dr) = (%v, %v), reference (%v, %v)", b, got.T[b], got.Dr[b], want.T[b], want.Dr[b])
+			}
+		}
+	})
+}
+
 func TestDisplacementAtClamps(t *testing.T) {
 	d := &Displacement{T: []float64{0, 1}, Dr: []float64{0, 2}}
 	if d.At(-1) != 0 || d.At(5) != 2 {
@@ -360,6 +645,25 @@ func BenchmarkRecover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Recover(capture, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecoverMiss cycles one more pilot than the phasor cache holds,
+// so every call builds its table: the cost a client pays that defeats
+// the cache, against BenchmarkRecover's cached table.
+func BenchmarkRecoverMiss(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	capture, err := Simulate(DefaultChannel(), 2.5, func(tt float64) float64 { return 0.12 - 0.04*tt }, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pilots := DefaultPilotCandidates()[:maxPhasorTables+1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Recover(capture, RecoverConfig{Freq: pilots[i%len(pilots)]}); err != nil {
 			b.Fatal(err)
 		}
 	}
