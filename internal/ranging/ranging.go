@@ -12,9 +12,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"voiceguard/internal/audio"
 	"voiceguard/internal/dsp"
@@ -193,9 +192,11 @@ type RecoverConfig struct {
 // the phase of the remaining dynamic (echo) phasor. Displacement follows
 // from Δφ = -4π·Δd/λ. A capture that cannot be demodulated is an error:
 // a rate that is not finite and positive, a pilot outside (0, rate/2),
-// or samples that make a block's I/Q non-finite.
+// or samples that make a block's I/Q non-finite. Recover computes the
+// pilot phasors for this capture alone; a verifier that demodulates
+// many captures of one pilot reads them from a PhasorCache instead.
 func Recover(capture *audio.Signal, cfg RecoverConfig) (*Displacement, error) {
-	return recoverWith(capture, cfg, demodulate)
+	return recoverWith(capture, cfg, demodulateUncached)
 }
 
 // recoverWith is Recover with the demodulator as a parameter, so tests
@@ -272,28 +273,21 @@ func recoverWith(capture *audio.Signal, cfg RecoverConfig, demod func(samples []
 
 // demodulate mixes the first n blocks of samples down to baseband with
 // the pilot phasor e^{-iwk} and sums each block to one I/Q value. The
-// phasors come from the cached table for w. On a miss each block first
-// fills its own span of a new table, which is cached once every block is
-// done; a block past the table cap fills a per-range scratch instead.
-// Blocks are independent and each block's sum runs serially in sample
-// order over the same Sincos values, so every I/Q value carries the bits
-// of a per-sample Sincos loop at any GOMAXPROCS, hit or miss.
+// phasors come from table, which holds e^{-iwk} for k < len(table) and
+// may be empty; with fill set, each block first fills its own span of
+// it. A block past the table's end fills a per-range scratch instead.
+// Either way every block runs the one inner loop, its sum serially in
+// sample order over the same Sincos values, so every I/Q value carries
+// the bits of a per-sample Sincos loop at any GOMAXPROCS.
 // unit: w rad
-func demodulate(samples []float64, w float64, blockSize, n int) []complex128 {
-	bits := math.Float64bits(w)
-	need := min(n*blockSize, maxTablePhasors)
-	table := cachedPhasors(bits, need)
-	fresh := table == nil
-	if fresh {
-		table = make([]complex128, need)
-	}
+func demodulate(samples []float64, w float64, blockSize, n int, table []complex128, fill bool) []complex128 {
 	iq := make([]complex128, n)
 	parallel.Range(n, func(lo, hi int) {
 		var scratch []complex128
 		for b := lo; b < hi; b++ {
 			off := b * blockSize
 			ph := table[min(off, len(table)):min(off+blockSize, len(table))]
-			if fresh {
+			if fill {
 				fillPhasors(ph, w, off)
 			}
 			if len(ph) < blockSize {
@@ -311,10 +305,14 @@ func demodulate(samples []float64, w float64, blockSize, n int) []complex128 {
 			iq[b] = complex(re, im)
 		}
 	})
-	if fresh {
-		cachePhasors(bits, table)
-	}
 	return iq
+}
+
+// demodulateUncached demodulates with per-block phasors only, keeping
+// no table.
+// unit: w rad
+func demodulateUncached(samples []float64, w float64, blockSize, n int) []complex128 {
+	return demodulate(samples, w, blockSize, n, nil, false)
 }
 
 // fillPhasors sets dst[k] = e^{-iw(off+k)}. One Sincos per sample shares
@@ -329,107 +327,67 @@ func fillPhasors(dst []complex128, w float64, off int) {
 	}
 }
 
-// A phasor table depends only on the pilot's angular step w, and every
-// session of a deployment uses one of a few pilots, so the tables are
-// kept process-wide; their contents are a pure function of w, so callers
-// sharing them can see each other only in time. The client chooses both
-// the pilot and the capture length, so the cache is bounded: at most
-// maxPhasorTables tables of at most maxTablePhasors entries each (16 B
-// apiece), 8 MiB in all, with the least recently used table evicted
-// first. A table no demodulation used through a whole GC cycle is
-// dropped too, so a process that stops demodulating gives the memory
-// back.
-const (
-	maxPhasorTables = 4
-	maxTablePhasors = 1 << 17 // 2.73 s at 48 kHz, 2 MiB
-)
+// maxTablePhasors caps a phasor table: 2.73 s at 48 kHz, 2 MiB. The
+// client chooses the capture length, so samples past the cap are
+// demodulated from per-block scratch rather than grow the table.
+const maxTablePhasors = 1 << 17
+
+// A PhasorCache keeps the pilot phasor table of the last pilot it
+// demodulated, so a verifier whose sessions share a pilot skips the
+// per-sample Sincos calls after the first. The client chooses both the
+// pilot and the capture length, so the cache is bounded: one table of
+// at most maxTablePhasors entries, 2 MiB. A pilot other than the cached
+// one builds its table and takes the slot. The zero value is ready for
+// use, and one PhasorCache may serve any number of goroutines.
+type PhasorCache struct {
+	last atomic.Pointer[phasorTable]
+}
 
 // phasorTable is e^{-iwk} for k < len(phasors), where wBits holds the
-// bits of w. The phasors are never written after the table enters the
-// cache.
+// bits of w. The phasors are never written after the table is cached.
 type phasorTable struct {
 	wBits   uint64
 	phasors []complex128
-	// used reports a demodulation since the last sweep.
-	used bool
 }
 
-// phasorCache holds the tables, most recently used first. While it
-// holds any, a sweep is armed for the end of the next GC cycle.
-var phasorCache struct {
-	mu     sync.Mutex
-	tables []*phasorTable
-	armed  bool
+// Recover is the package's Recover with its phasors from the cache.
+func (c *PhasorCache) Recover(capture *audio.Signal, cfg RecoverConfig) (*Displacement, error) {
+	return recoverWith(capture, cfg, c.demodulate)
 }
 
-// cachedPhasors returns the cached table for the w whose bits are wBits
-// if it covers at least need samples, and marks it most recently used;
-// otherwise nil.
-func cachedPhasors(wBits uint64, need int) []complex128 {
-	c := &phasorCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, t := range c.tables {
-		if t.wBits == wBits && len(t.phasors) >= need {
-			copy(c.tables[1:i+1], c.tables[:i])
-			c.tables[0] = t
-			t.used = true
-			return t.phasors
+// demodulate is demodulate over the cached table for w if it covers the
+// n blocks (or the table cap); otherwise it fills a new table and
+// stores it.
+// unit: w rad
+func (c *PhasorCache) demodulate(samples []float64, w float64, blockSize, n int) []complex128 {
+	bits := math.Float64bits(w)
+	need := min(n*blockSize, maxTablePhasors)
+	if t := c.last.Load(); t.covers(bits, need) {
+		return demodulate(samples, w, blockSize, n, t.phasors, false)
+	}
+	fresh := &phasorTable{wBits: bits, phasors: make([]complex128, need)}
+	iq := demodulate(samples, w, blockSize, n, fresh.phasors, true)
+	c.store(fresh)
+	return iq
+}
+
+// store puts a filled table in the slot, unless the slot holds a table
+// for the same w that is at least as long by then: a short capture's
+// build that finishes after a longer one for its pilot must not make the
+// next session rebuild.
+func (c *PhasorCache) store(fresh *phasorTable) {
+	for {
+		t := c.last.Load()
+		if t.covers(fresh.wBits, len(fresh.phasors)) || c.last.CompareAndSwap(t, fresh) {
+			return
 		}
 	}
-	return nil
 }
 
-// cachePhasors caches a filled table as the most recently used, in place
-// of any table for the same w, and evicts the least recently used table
-// past maxPhasorTables.
-func cachePhasors(wBits uint64, phasors []complex128) {
-	c := &phasorCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// A fresh slice of capacity maxPhasorTables, so no backing array
-	// keeps an evicted table alive.
-	kept := append(make([]*phasorTable, 0, maxPhasorTables), &phasorTable{wBits: wBits, phasors: phasors, used: true})
-	for _, t := range c.tables {
-		if t.wBits != wBits && len(kept) < maxPhasorTables {
-			kept = append(kept, t)
-		}
-	}
-	c.tables = kept
-	if !c.armed {
-		armSweep()
-	}
-}
-
-// gcTick is allocated only to be collected; its pointer field keeps it
-// out of the tiny allocator, whose objects may never be finalized.
-type gcTick struct{ _ *int }
-
-// armSweep makes the GC cycle that frees a fresh gcTick run
-// sweepPhasors. The caller holds phasorCache.mu.
-func armSweep() {
-	phasorCache.armed = true
-	runtime.SetFinalizer(&gcTick{}, func(*gcTick) { sweepPhasors() })
-}
-
-// sweepPhasors drops the tables no demodulation used since the previous
-// sweep, and re-arms itself while any table is left.
-func sweepPhasors() {
-	c := &phasorCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kept := make([]*phasorTable, 0, maxPhasorTables) // as in cachePhasors
-	for _, t := range c.tables {
-		if t.used {
-			t.used = false
-			kept = append(kept, t)
-		}
-	}
-	c.tables = kept
-	c.armed = false
-	if len(kept) > 0 {
-		armSweep()
-	}
+// covers reports whether t is a table for the w whose bits are wBits
+// with at least need entries. A nil t covers nothing.
+func (t *phasorTable) covers(wBits uint64, need int) bool {
+	return t != nil && t.wBits == wBits && len(t.phasors) >= need
 }
 
 // finite reports whether x is neither NaN nor ±Inf.

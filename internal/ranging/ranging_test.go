@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -349,28 +347,6 @@ func demodulateReference(samples []float64, w float64, blockSize, n int) []compl
 	return iq
 }
 
-// resetPhasorCache empties the process-wide phasor cache, so the next
-// demodulation of any pilot builds its table.
-func resetPhasorCache() {
-	phasorCache.mu.Lock()
-	phasorCache.tables = nil
-	phasorCache.mu.Unlock()
-}
-
-// cachedPhasorBytes reports the bytes of the tables the phasor cache
-// holds, counting any its slice's spare capacity still references, and
-// the number of tables it holds.
-func cachedPhasorBytes() (bytes, tables int) {
-	phasorCache.mu.Lock()
-	defer phasorCache.mu.Unlock()
-	for _, t := range phasorCache.tables[:cap(phasorCache.tables)] {
-		if t != nil {
-			bytes += 16 * len(t.phasors)
-		}
-	}
-	return bytes, len(phasorCache.tables)
-}
-
 // noiseCapture returns n samples of a unit pilot at freq over Gaussian
 // noise, at the given rate.
 func noiseCapture(freq, rate float64, n int, seed int64) *audio.Signal {
@@ -382,22 +358,34 @@ func noiseCapture(freq, rate float64, n int, seed int64) *audio.Signal {
 	return s
 }
 
-// TestDemodulateMatchesSincosReference holds every I/Q value of
-// demodulate to the per-sample Sincos loop, bit for bit, whether its
-// phasors come from a table it builds, a cached table, or per-block
+// cachedTable returns the table a PhasorCache holds, or nil.
+func cachedTable(c *PhasorCache) *phasorTable { return c.last.Load() }
+
+// sameIQ fails t unless got and want agree bit for bit.
+func sameIQ(t *testing.T, name string, got, want []complex128) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d blocks, reference %d", name, len(got), len(want))
+	}
+	for b := range want {
+		if math.Float64bits(real(got[b])) != math.Float64bits(real(want[b])) ||
+			math.Float64bits(imag(got[b])) != math.Float64bits(imag(want[b])) {
+			t.Fatalf("%s: block %d I/Q = %v, reference %v", name, b, got[b], want[b])
+		}
+	}
+}
+
+// TestDemodulateMatchesSincosReference holds every I/Q value to the
+// per-sample Sincos loop, bit for bit, whether its phasors come from
+// per-block scratch, a table the demodulation builds, a cached table, or
 // scratch past the table cap. CI runs it under -race at -cpu=1,4.
 func TestDemodulateMatchesSincosReference(t *testing.T) {
-	check := func(t *testing.T, name string, samples []float64, w float64, bs int) {
+	check := func(t *testing.T, name string, c *PhasorCache, samples []float64, w float64, bs int) {
 		t.Helper()
 		n := len(samples) / bs
 		want := demodulateReference(samples, w, bs, n)
-		got := demodulate(samples, w, bs, n)
-		for b := range want {
-			if math.Float64bits(real(got[b])) != math.Float64bits(real(want[b])) ||
-				math.Float64bits(imag(got[b])) != math.Float64bits(imag(want[b])) {
-				t.Fatalf("%s: block %d I/Q = %v, reference %v", name, b, got[b], want[b])
-			}
-		}
+		sameIQ(t, name+", uncached", demodulateUncached(samples, w, bs, n), want)
+		sameIQ(t, name, c.demodulate(samples, w, bs, n), want)
 	}
 	// 2.5 s at 48 kHz, and a capture past the table cap that is not a
 	// whole number of blocks.
@@ -407,10 +395,10 @@ func TestDemodulateMatchesSincosReference(t *testing.T) {
 	for _, rate := range []float64{44100, 48000} {
 		for _, f := range pilots {
 			w := 2 * math.Pi * f / rate
-			resetPhasorCache()
+			var c PhasorCache
 			// A short capture builds a short table, a longer one
 			// outgrows it and builds again, and the last call hits.
-			for _, c := range []struct {
+			for _, tc := range []struct {
 				name    string
 				samples []float64
 			}{
@@ -418,7 +406,7 @@ func TestDemodulateMatchesSincosReference(t *testing.T) {
 				{"served", served},
 				{"served, cached", served},
 			} {
-				check(t, fmt.Sprintf("%s, pilot %v Hz at %v Hz", c.name, f, rate), c.samples, w, 256)
+				check(t, fmt.Sprintf("%s, pilot %v Hz at %v Hz", tc.name, f, rate), &c, tc.samples, w, 256)
 			}
 		}
 	}
@@ -427,17 +415,17 @@ func TestDemodulateMatchesSincosReference(t *testing.T) {
 	// reads that tail from the cached table.
 	w := 2 * math.Pi * DefaultPilotHz / DefaultRate
 	for _, sizes := range [][]int{{1000, 256, 1000}, {256, 256}} {
-		resetPhasorCache()
+		var c PhasorCache
 		for _, bs := range sizes {
-			check(t, fmt.Sprintf("past the cap, bs=%d after %v", bs, sizes), long, w, bs)
+			check(t, fmt.Sprintf("past the cap, bs=%d after %v", bs, sizes), &c, long, w, bs)
 		}
 	}
 
-	// First use raced from 8 goroutines: each builds or reads the table
-	// while others insert it, and every result must still match. The
-	// starts are staggered so that later goroutines can find a table an
-	// earlier one is still building.
-	resetPhasorCache()
+	// First use raced from 8 goroutines on one cache: each builds or
+	// reads the table while others store it, and every result must still
+	// match. The starts are staggered so that later goroutines can find a
+	// table an earlier one is still building.
+	var c PhasorCache
 	want := demodulateReference(served, w, 256, len(served)/256)
 	results := make([][]complex128, 8)
 	start := make(chan struct{})
@@ -448,115 +436,86 @@ func TestDemodulateMatchesSincosReference(t *testing.T) {
 			defer wg.Done()
 			<-start
 			time.Sleep(time.Duration(g) * 100 * time.Microsecond)
-			results[g] = demodulate(served, w, 256, len(served)/256)
+			results[g] = c.demodulate(served, w, 256, len(served)/256)
 		}()
 	}
 	close(start)
 	wg.Wait()
 	for g, got := range results {
-		for b := range want {
-			if math.Float64bits(real(got[b])) != math.Float64bits(real(want[b])) ||
-				math.Float64bits(imag(got[b])) != math.Float64bits(imag(want[b])) {
-				t.Fatalf("goroutine %d: block %d I/Q = %v, reference %v", g, b, got[b], want[b])
-			}
-		}
+		sameIQ(t, fmt.Sprintf("goroutine %d", g), got, want)
 	}
 }
 
-// TestPhasorCacheBounded feeds Recover more distinct (pilot, rate) pairs
-// than the cache holds, each with a capture past the table cap, as a
-// hostile client may: the cache must never retain more than
-// maxPhasorTables tables of maxTablePhasors entries (8 MiB), and a pilot
-// used again while cached must be served from its table, not rebuilt.
+// TestPhasorCacheBounded feeds one cache more distinct (pilot, rate)
+// pairs than it holds, each with a capture past the table cap, as a
+// hostile client may: it must never retain more than one table of
+// maxTablePhasors entries (2 MiB). A pilot used again is served from its
+// table, and a shorter table for the cached pilot never displaces it.
 func TestPhasorCacheBounded(t *testing.T) {
-	const bound = maxPhasorTables * maxTablePhasors * 16
-	if bound != 8<<20 {
-		t.Fatalf("worst-case cache bytes = %d, documented as 8 MiB", bound)
+	const bound = maxTablePhasors * 16
+	if bound != 2<<20 {
+		t.Fatalf("worst-case cache bytes = %d, documented as 2 MiB", bound)
 	}
-	// No GC cycle may sweep tables out while the test counts them.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	resetPhasorCache()
+	var c PhasorCache
 	long := maxTablePhasors + 5000
 	for i, rate := range []float64{44100, 48000} {
-		for j, f := range DefaultPilotCandidates()[:maxPhasorTables+1] {
-			if _, err := Recover(noiseCapture(f, rate, long, int64(10*i+j)), RecoverConfig{Freq: f}); err != nil {
+		for j, f := range DefaultPilotCandidates()[:3] {
+			if _, err := c.Recover(noiseCapture(f, rate, long, int64(10*i+j)), RecoverConfig{Freq: f}); err != nil {
 				t.Fatalf("pilot %v Hz at %v Hz: %v", f, rate, err)
 			}
-			bytes, tables := cachedPhasorBytes()
-			if bytes > bound || tables > maxPhasorTables {
-				t.Fatalf("after pilot %v Hz at %v Hz the cache holds %d tables, %d B; bound %d tables, %d B",
-					f, rate, tables, bytes, maxPhasorTables, bound)
+			tab := cachedTable(&c)
+			if tab == nil || tab.wBits != math.Float64bits(2*math.Pi*f/rate) {
+				t.Fatalf("after pilot %v Hz at %v Hz the cache does not hold its table", f, rate)
+			}
+			if bytes := 16 * len(tab.phasors); bytes != bound {
+				t.Fatalf("after pilot %v Hz at %v Hz the cache holds %d B; bound %d B", f, rate, bytes, bound)
 			}
 		}
 	}
-	if bytes, tables := cachedPhasorBytes(); bytes != bound || tables != maxPhasorTables {
-		t.Errorf("full cache holds %d tables, %d B; want %d, %d", tables, bytes, maxPhasorTables, bound)
-	}
 
-	// Demodulating a pilot caches its table, and a longer capture
-	// outgrows a shorter table; a table used again within the last
-	// maxPhasorTables pilots is served from the cache.
+	// A longer capture outgrows a shorter table, and the pilot used
+	// again is served from the table it built.
 	served := noiseCapture(DefaultPilotHz, DefaultRate, 120000, 99).Samples
 	w := 2 * math.Pi * DefaultPilotHz / DefaultRate
 	n := len(served) / 256
-	demodulate(served, w, 256, 3)
-	demodulate(served, w, 256, n)
-	first := cachedPhasors(math.Float64bits(w), n*256)
-	if len(first) != n*256 {
-		t.Fatalf("cached table for the served capture has %d entries, want %d", len(first), n*256)
+	c.demodulate(served, w, 256, 3)
+	c.demodulate(served, w, 256, n)
+	first := cachedTable(&c)
+	if len(first.phasors) != n*256 {
+		t.Fatalf("cached table for the served capture has %d entries, want %d", len(first.phasors), n*256)
 	}
-	for _, f := range DefaultPilotCandidates()[:maxPhasorTables-1] {
-		demodulate(served, 2*math.Pi*f/DefaultRate, 256, 3)
+	c.demodulate(served, w, 256, n)
+	c.demodulate(served, w, 256, 3)
+	if cachedTable(&c) != first {
+		t.Error("the served pilot's table was rebuilt for a capture it covers")
 	}
-	demodulate(served, w, 256, n)
-	if again := cachedPhasors(math.Float64bits(w), n*256); len(again) == 0 || &again[0] != &first[0] {
-		t.Error("a table used within the last maxPhasorTables pilots was rebuilt")
+
+	// A short capture of the cached pilot whose build finishes after
+	// the served table was stored keeps the longer table; a table for
+	// another pilot takes the slot whatever its length.
+	short := &phasorTable{wBits: math.Float64bits(w), phasors: make([]complex128, 3*256)}
+	fillPhasors(short.phasors, w, 0)
+	c.store(short)
+	if cachedTable(&c) != first {
+		t.Error("a shorter table for the cached pilot replaced the longer one")
+	}
+	wOther := 2 * math.Pi * 17000 / DefaultRate
+	other := &phasorTable{wBits: math.Float64bits(wOther), phasors: make([]complex128, 256)}
+	fillPhasors(other.phasors, wOther, 0)
+	c.store(other)
+	if cachedTable(&c) != other {
+		t.Error("a table for another pilot did not take the slot")
 	}
 }
 
-// TestPhasorCacheDropsIdleTables checks the sweep that follows each GC
-// cycle: a table used since the previous sweep stays, one left unused
-// through a whole cycle is dropped, and the GC runs the sweep by itself.
-func TestPhasorCacheDropsIdleTables(t *testing.T) {
-	resetPhasorCache()
-	served := noiseCapture(DefaultPilotHz, DefaultRate, 120000, 98).Samples
-	w := 2 * math.Pi * DefaultPilotHz / DefaultRate
-	n := len(served) / 256
-	tables := func() int { _, n := cachedPhasorBytes(); return n }
-
-	demodulate(served, w, 256, n)
-	for i := 0; tables() > 0; i++ {
-		if i == 100 {
-			t.Fatal("100 GC cycles left an unused table cached")
-		}
-		runtime.GC()
-		time.Sleep(time.Millisecond)
-	}
-
-	// The policy itself, with no GC cycle sweeping in between.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	demodulate(served, w, 256, n)
-	sweepPhasors()
-	if tables() != 1 {
-		t.Fatal("a table used since the last sweep was dropped")
-	}
-	demodulate(served, w, 256, n)
-	sweepPhasors()
-	if tables() != 1 {
-		t.Fatal("a table used again after a sweep was dropped")
-	}
-	sweepPhasors()
-	if tables() != 0 {
-		t.Fatal("a table unused through a whole sweep interval was kept")
-	}
-}
-
-// FuzzRecoverMatchesReference holds Recover to itself run over the
-// reference demodulation, on random samples, pilots, rates and lengths:
-// every Displacement bit, or the same error, must match. Rates and
-// pilots include 0, NaN, ±Inf and out-of-band values; lengths reach past
-// the phasor table cap.
+// FuzzRecoverMatchesReference holds Recover, and a PhasorCache's Recover
+// that keeps its table across inputs, to Recover run over the reference
+// demodulation, on random samples, pilots, rates and lengths: every
+// Displacement bit, or the same error, must match. Rates and pilots
+// include 0, NaN, ±Inf and out-of-band values; lengths reach past the
+// phasor table cap.
 func FuzzRecoverMatchesReference(f *testing.F) {
+	var cache PhasorCache
 	nan, inf := math.NaN(), math.Inf(1)
 	f.Add(int64(1), uint32(120000), DefaultPilotHz, DefaultRate)
 	f.Add(int64(2), uint32(maxTablePhasors+300), 17250.0, 44100.0)
@@ -577,21 +536,26 @@ func FuzzRecoverMatchesReference(f *testing.F) {
 		capture := noiseCapture(DefaultPilotHz, DefaultRate, n, seed)
 		capture.Rate = rate
 		cfg := RecoverConfig{Freq: pilot}
-		got, gotErr := Recover(capture, cfg)
 		want, wantErr := recoverWith(capture, cfg, demodulateReference)
-		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("err = %v, reference %v", gotErr, wantErr)
-		}
-		if gotErr != nil {
-			return
-		}
-		if len(got.T) != len(want.T) || len(got.Dr) != len(want.Dr) {
-			t.Fatalf("%d/%d blocks, reference %d/%d", len(got.T), len(got.Dr), len(want.T), len(want.Dr))
-		}
-		for b := range want.T {
-			if math.Float64bits(got.T[b]) != math.Float64bits(want.T[b]) ||
-				math.Float64bits(got.Dr[b]) != math.Float64bits(want.Dr[b]) {
-				t.Fatalf("block %d (T, Dr) = (%v, %v), reference (%v, %v)", b, got.T[b], got.Dr[b], want.T[b], want.Dr[b])
+		for name, recover := range map[string]func(*audio.Signal, RecoverConfig) (*Displacement, error){
+			"Recover": Recover, "PhasorCache.Recover": cache.Recover,
+		} {
+			got, gotErr := recover(capture, cfg)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("%s: err = %v, reference %v", name, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				continue
+			}
+			if len(got.T) != len(want.T) || len(got.Dr) != len(want.Dr) {
+				t.Fatalf("%s: %d/%d blocks, reference %d/%d", name, len(got.T), len(got.Dr), len(want.T), len(want.Dr))
+			}
+			for b := range want.T {
+				if math.Float64bits(got.T[b]) != math.Float64bits(want.T[b]) ||
+					math.Float64bits(got.Dr[b]) != math.Float64bits(want.Dr[b]) {
+					t.Fatalf("%s: block %d (T, Dr) = (%v, %v), reference (%v, %v)",
+						name, b, got.T[b], got.Dr[b], want.T[b], want.Dr[b])
+				}
 			}
 		}
 	})
@@ -633,13 +597,38 @@ func TestFig6SpectrogramShowsPilot(t *testing.T) {
 	}
 }
 
-func BenchmarkRecover(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	// The served gesture capture: 2.5 s at 48 kHz, 120 000 samples.
-	capture, err := Simulate(DefaultChannel(), 2.5, func(tt float64) float64 { return 0.12 - 0.04*tt }, rng)
+// benchCapture is the served gesture capture: 2.5 s at 48 kHz, 120 000
+// samples.
+func benchCapture(b *testing.B) *audio.Signal {
+	capture, err := Simulate(DefaultChannel(), 2.5, func(tt float64) float64 { return 0.12 - 0.04*tt }, rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
 	}
+	return capture
+}
+
+// BenchmarkRecover times the served path: a PhasorCache whose table
+// holds the pilot.
+func BenchmarkRecover(b *testing.B) {
+	capture := benchCapture(b)
+	cfg := RecoverConfig{Freq: DefaultPilotHz}
+	var c PhasorCache
+	if _, err := c.Recover(capture, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Recover(capture, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecoverUncached times Recover, which keeps no table: the
+// per-block phasors of a capture demodulated once.
+func BenchmarkRecoverUncached(b *testing.B) {
+	capture := benchCapture(b)
 	cfg := RecoverConfig{Freq: DefaultPilotHz}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -650,20 +639,17 @@ func BenchmarkRecover(b *testing.B) {
 	}
 }
 
-// BenchmarkRecoverMiss cycles one more pilot than the phasor cache holds,
-// so every call builds its table: the cost a client pays that defeats
-// the cache, against BenchmarkRecover's cached table.
+// BenchmarkRecoverMiss alternates two pilots on one PhasorCache, so
+// every call builds its table: the cost a client pays that defeats the
+// cache, against BenchmarkRecover's cached table.
 func BenchmarkRecoverMiss(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	capture, err := Simulate(DefaultChannel(), 2.5, func(tt float64) float64 { return 0.12 - 0.04*tt }, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pilots := DefaultPilotCandidates()[:maxPhasorTables+1]
+	capture := benchCapture(b)
+	pilots := DefaultPilotCandidates()[:2]
+	var c PhasorCache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Recover(capture, RecoverConfig{Freq: pilots[i%len(pilots)]}); err != nil {
+		if _, err := c.Recover(capture, RecoverConfig{Freq: pilots[i%len(pilots)]}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -154,6 +154,13 @@ func (g *Gesture) Estimate() (Estimate, error) {
 	return EstimateDistance(g.Heading, g.LinAccel, g.Disp, g.SweepStart, g.SweepEnd)
 }
 
+// uploadPhasors holds the pilot phasor table that FromUpload's
+// displacement recovery reads. Every session a server rebuilds demodulates
+// the pilot its clients send, so the table is built once per process;
+// SimulateGesture models one phone's capture and keeps none. A table is
+// a pure function of the pilot, so sharing it changes no result.
+var uploadPhasors ranging.PhasorCache
+
 // FromUpload reconstructs a Gesture from raw uploaded traces and the
 // ranging capture — the server-side path: heading fusion, gravity
 // removal and displacement recovery are re-run on the received data.
@@ -166,7 +173,7 @@ func FromUpload(gyro, accel, mag *sensors.Trace, capture *audio.Signal, pilotHz,
 	if err != nil {
 		return nil, fmt.Errorf("trajectory: fusing uploaded heading: %w", err)
 	}
-	disp, err := ranging.Recover(capture, ranging.RecoverConfig{Freq: pilotHz})
+	disp, err := uploadPhasors.Recover(capture, ranging.RecoverConfig{Freq: pilotHz})
 	if err != nil {
 		return nil, fmt.Errorf("trajectory: recovering uploaded displacement: %w", err)
 	}

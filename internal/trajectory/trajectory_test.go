@@ -245,7 +245,8 @@ func BenchmarkEstimateDistance(b *testing.B) {
 
 // BenchmarkFromUpload times the server-side gesture rebuild on the
 // standard genuine gesture (a 2.5 s, 48 kHz ranging capture): heading
-// fusion, gravity removal and the pilot demodulation in ranging.Recover.
+// fusion, gravity removal and the pilot demodulation, whose phasors
+// come from the table the first iteration builds.
 func BenchmarkFromUpload(b *testing.B) {
 	g, err := SimulateGesture(GestureConfig{UseCase: StandardUseCase(0.06), Seed: 1})
 	if err != nil {
