@@ -2,6 +2,8 @@
 
 package gmm
 
+import "voiceguard/internal/cpuid"
+
 // quadSweep computes every component's Mahalanobis quadratic form for
 // one padded frame: out[c] = Σ_d (xf[d]−means[c·stride+d])²·invVars[…].
 // Implemented in assembly (sweep_amd64.s) with the exact summation
@@ -62,28 +64,5 @@ func topCSelectAVX2(scores []float32, vals []float64, idx []int32)
 //go:noescape
 func topCScore32AVX2(q, consts []float32, vals []float64, idx []int32)
 
-// cpuidex and xgetbv0 (sweep_amd64.s) expose the CPUID leaf and the
-// OS-enabled extended-state mask for the one-time AVX2 probe.
-func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv0() (eax, edx uint32)
-
-var useAVX2 = detectAVX2()
-
-// detectAVX2 reports whether AVX2 is usable: the CPU advertises it and
-// the OS saves/restores the YMM state (OSXSAVE set and XCR0 bits 1–2).
-func detectAVX2() bool {
-	maxLeaf, _, _, _ := cpuidex(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, c, _ := cpuidex(1, 0); c&osxsave == 0 || c&avx == 0 {
-		return false
-	}
-	if lo, _ := xgetbv0(); lo&0x6 != 0x6 {
-		return false
-	}
-	_, b, _, _ := cpuidex(7, 0)
-	return b&(1<<5) != 0
-}
+// useAVX2 selects the AVX2 kernels; see cpuid.AVX2.
+var useAVX2 = cpuid.AVX2
