@@ -184,7 +184,8 @@ func (p *FFTPlan) transform(x []complex128, inverse bool) {
 	p.bluesteinTransform(x, inverse)
 }
 
-// pow2Transform is the table-driven iterative radix-2 butterfly.
+// pow2Transform is the table-driven iterative radix-2 transform: the
+// bit-reversal permutation, then the butterfly stages.
 func (p *FFTPlan) pow2Transform(x []complex128, inverse bool) {
 	n := p.n
 	for i := 1; i < n; i++ {
@@ -192,10 +193,31 @@ func (p *FFTPlan) pow2Transform(x []complex128, inverse bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
+	p.butterflies(x, inverse)
+}
+
+// butterflies runs the radix-2 stages of a power-of-two plan over x,
+// which must already be in bit-reversed order. Real-input callers write
+// their packed samples straight to the permuted slots, so the transform
+// needs no swap pass.
+func (p *FFTPlan) butterflies(x []complex128, inverse bool) {
+	if p.n <= 1 {
+		return
+	}
 	tw := p.twFwd
 	if inverse {
 		tw = p.twInv
 	}
+	radix2Stages(x, tw)
+}
+
+// radix2StagesGeneric is the portable butterfly loop, the oracle of the
+// amd64 kernel: stage after stage, x[lo] and x[hi] become a+b and a−b
+// with b = x[hi]·w, w the stage's twiddle from tw (laid out as in
+// FFTPlan.twFwd). len(x) must be a power of two ≥ 2 and len(tw) ≥
+// len(x)−1.
+func radix2StagesGeneric(x, tw []complex128) {
+	n := len(x)
 	for half := 1; half < n; half <<= 1 {
 		t := tw[half-1 : 2*half-1]
 		size := half << 1
@@ -277,13 +299,22 @@ func (p *FFTPlan) RealForward(spec []complex128, x []float64) error {
 	}
 	zptr := p.half.acquire()
 	z := *zptr
-	for i := range z {
-		z[i] = complex(x[2*i], x[2*i+1])
-	}
-	p.half.transform(z, false)
+	p.packReal(z, x)
+	p.half.butterflies(z, false)
 	p.realUnpack(z, spec)
 	p.half.release(zptr)
 	return nil
+}
+
+// packReal writes the real signal x into the half-size buffer z as the
+// complex samples x[2i] + i·x[2i+1], each stored at its bit-reversed
+// slot, so z is ready for p.half.butterflies without a swap pass. The
+// permutation is an involution, so this is the packed buffer after
+// pow2Transform's swaps.
+func (p *FFTPlan) packReal(z []complex128, x []float64) {
+	for i, j := range p.half.perm {
+		z[j] = complex(x[2*i], x[2*i+1])
+	}
 }
 
 // canPackReal reports whether the even/odd packing path applies.
@@ -299,7 +330,7 @@ func (p *FFTPlan) canPackReal() bool { return p.n >= 2 && p.n&(p.n-1) == 0 }
 func (p *FFTPlan) realUnpack(z []complex128, spec []complex128) {
 	m := p.n / 2
 	for k := 0; k < m; k++ {
-		zr := cmplx.Conj(z[(m-k)%m])
+		zr := cmplx.Conj(z[mirror(k, m)])
 		e := (z[k] + zr) * 0.5
 		o := (z[k] - zr) * complex(0, -0.5)
 		spec[k] = e + p.realTw[k]*o
@@ -308,12 +339,21 @@ func (p *FFTPlan) realUnpack(z []complex128, spec []complex128) {
 	spec[m] = complex(real(z[0])-imag(z[0]), 0)
 }
 
+// mirror returns (m−k) mod m for 0 ≤ k < m, the conjugate partner of
+// packed bin k, without an integer division.
+func mirror(k, m int) int {
+	if k == 0 {
+		return 0
+	}
+	return m - k
+}
+
 // realMagnitudes writes |X_k| for bins 0..n/2 of the real-input signal
 // packed and transformed in z. Same math as realUnpack, magnitudes only.
 func (p *FFTPlan) realMagnitudes(z []complex128, dst []float64) {
 	m := p.n / 2
 	for k := 0; k < m; k++ {
-		zr := cmplx.Conj(z[(m-k)%m])
+		zr := cmplx.Conj(z[mirror(k, m)])
 		e := (z[k] + zr) * 0.5
 		o := (z[k] - zr) * complex(0, -0.5)
 		xk := e + p.realTw[k]*o
@@ -328,7 +368,7 @@ func (p *FFTPlan) realMagnitudes(z []complex128, dst []float64) {
 func (p *FFTPlan) realPower(z []complex128, dst []float64) {
 	m := p.n / 2
 	for k := 0; k < m; k++ {
-		zr := cmplx.Conj(z[(m-k)%m])
+		zr := cmplx.Conj(z[mirror(k, m)])
 		e := (z[k] + zr) * 0.5
 		o := (z[k] - zr) * complex(0, -0.5)
 		xk := e + p.realTw[k]*o
@@ -353,10 +393,8 @@ func (p *FFTPlan) RealPower(dst []float64, x []float64) error {
 	if p.canPackReal() {
 		zptr := p.half.acquire()
 		z := *zptr
-		for i := range z {
-			z[i] = complex(x[2*i], x[2*i+1])
-		}
-		p.half.transform(z, false)
+		p.packReal(z, x)
+		p.half.butterflies(z, false)
 		p.realPower(z, dst)
 		p.half.release(zptr)
 		return nil

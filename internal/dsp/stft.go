@@ -113,16 +113,17 @@ func STFTSpan(span *telemetry.Span, x []float64, cfg STFTConfig) (*Spectrogram, 
 }
 
 // stftPacked runs the even power-of-two fast path: each frame is packed
-// into a half-size complex buffer, transformed with the half-size plan,
-// and unpacked straight into magnitude bins.
+// into a half-size complex buffer at its bit-reversed slots, run through
+// the half-size plan's butterflies, and unpacked straight into magnitude
+// bins.
 func stftPacked(span *telemetry.Span, sp *Spectrogram, x []float64, cfg STFTConfig, plan *FFTPlan, win []float64) {
-	m := cfg.FFTSize / 2
+	perm := plan.half.perm
 	parallel.SpanRange(span, "stft-block", len(sp.Frames), func(lo, hi int) {
 		zptr := plan.half.acquire()
 		z := *zptr
 		for f := lo; f < hi; f++ {
 			off := f * cfg.HopSize
-			for i := 0; i < m; i++ {
+			for i, slot := range perm {
 				var re, im float64
 				if j := 2 * i; j < cfg.FrameSize {
 					re = x[off+j] * win[j]
@@ -130,9 +131,9 @@ func stftPacked(span *telemetry.Span, sp *Spectrogram, x []float64, cfg STFTConf
 				if j := 2*i + 1; j < cfg.FrameSize {
 					im = x[off+j] * win[j]
 				}
-				z[i] = complex(re, im)
+				z[slot] = complex(re, im)
 			}
-			plan.half.transform(z, false)
+			plan.half.butterflies(z, false)
 			plan.realMagnitudes(z, sp.Frames[f])
 		}
 		plan.half.release(zptr)
