@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"voiceguard/internal/parallel"
 	"voiceguard/internal/stats"
@@ -26,8 +27,10 @@ type GMM struct {
 	// Vars holds the per-dimension variances per component.
 	Vars [][]float64
 
-	// logNorm caches the per-component Gaussian normalization constants.
-	logNorm []float64
+	// logConst caches each component's log w_c plus its Gaussian log
+	// normalization constant: the frame-independent part of
+	// componentLogLik.
+	logConst []float64
 }
 
 // NumComponents returns the mixture size.
@@ -267,25 +270,28 @@ func kmeansInit(data [][]float64, k int, rng *rand.Rand) *GMM {
 	return g
 }
 
-// refreshNorm recomputes the cached log normalization constants.
+// refreshNorm recomputes the cached per-component constants,
+// log(w_c + 1e-300) + log-normalizer, after the weights or variances
+// change.
 func (g *GMM) refreshNorm() {
 	k := g.NumComponents()
 	dim := g.Dim()
-	if g.logNorm == nil || len(g.logNorm) != k {
-		g.logNorm = make([]float64, k)
+	if g.logConst == nil || len(g.logConst) != k {
+		g.logConst = make([]float64, k)
 	}
 	for c := 0; c < k; c++ {
 		var logDet float64
 		for d := 0; d < dim; d++ {
 			logDet += math.Log(g.Vars[c][d])
 		}
-		g.logNorm[c] = -0.5 * (float64(dim)*math.Log(2*math.Pi) + logDet)
+		logNorm := -0.5 * (float64(dim)*math.Log(2*math.Pi) + logDet)
+		g.logConst[c] = math.Log(g.Weights[c]+1e-300) + logNorm
 	}
 }
 
 // componentLogLik returns log w_c + log N(x; mu_c, var_c).
 func (g *GMM) componentLogLik(c int, x []float64) float64 {
-	if g.logNorm == nil {
+	if g.logConst == nil {
 		g.refreshNorm()
 	}
 	var maha float64
@@ -295,7 +301,7 @@ func (g *GMM) componentLogLik(c int, x []float64) float64 {
 		diff := v - mu[d]
 		maha += diff * diff / va[d]
 	}
-	return math.Log(g.Weights[c]+1e-300) + g.logNorm[c] - 0.5*maha
+	return g.logConst[c] - 0.5*maha
 }
 
 // LogLikelihood returns log p(x) under the mixture.
@@ -307,26 +313,119 @@ func (g *GMM) LogLikelihood(x []float64) float64 {
 // per-component terms, so scoring loops can evaluate frames without
 // allocating. len(lls) must equal NumComponents.
 func (g *GMM) logLikelihoodInto(x, lls []float64) float64 {
-	maxv := math.Inf(-1)
-	// Two passes: find max for a stable log-sum-exp.
 	for c := range lls {
 		lls[c] = g.componentLogLik(c, x)
-		if lls[c] > maxv {
-			maxv = lls[c]
+	}
+	return logSumExp(lls)
+}
+
+// logSumExp returns log Σ exp(v[c]), shifted by the maximum for
+// stability.
+func logSumExp(v []float64) float64 {
+	maxv := math.Inf(-1)
+	for _, x := range v {
+		if x > maxv {
+			maxv = x
 		}
 	}
 	var sum float64
-	for _, v := range lls {
-		sum += math.Exp(v - maxv)
+	for _, x := range v {
+		sum += math.Exp(x - maxv)
 	}
 	return maxv + math.Log(sum)
+}
+
+// logLikelihoods writes log p(x) of each frame into lls, with the bits
+// logLikelihoodInto gives frame by frame. Where the exact kernel runs
+// (exactKernel), whole groups of mahaLanes frames of the model's
+// dimension are interleaved into scratch and mahaSweep forms every
+// component's Mahalanobis sum for the group at once, summing each lane
+// in componentLogLik's order; the remaining frames, and every frame
+// elsewhere, go through componentLogLik. Scratch, k + mahaLanes·(dim+k)
+// float64s, comes from llScratch.
+func (g *GMM) logLikelihoods(frames [][]float64, lls []float64) {
+	k, dim := g.NumComponents(), g.Dim()
+	kernel := exactKernel && len(frames) >= mahaLanes && g.kernelShape()
+	need := k
+	if kernel {
+		need += mahaLanes * (dim + k)
+	}
+	bp, _ := llScratch.Get().(*[]float64)
+	if bp == nil || cap(*bp) < need {
+		s := make([]float64, need)
+		bp = &s
+	}
+	scratch := (*bp)[:need]
+	comp := scratch[:k]
+	i := 0
+	if kernel {
+		xt, maha := scratch[k:k+mahaLanes*dim], scratch[k+mahaLanes*dim:]
+		for ; i+mahaLanes <= len(frames); i += mahaLanes {
+			group := frames[i : i+mahaLanes]
+			if !interleave(xt, group) {
+				break
+			}
+			mahaSweep(xt, g.Means, g.Vars, maha)
+			for j := range group {
+				for c := range comp {
+					comp[c] = g.logConst[c] - 0.5*maha[c*mahaLanes+j]
+				}
+				lls[i+j] = logSumExp(comp)
+			}
+		}
+	}
+	for ; i < len(frames); i++ {
+		lls[i] = g.logLikelihoodInto(frames[i], comp)
+	}
+	llScratch.Put(bp)
+}
+
+// llScratch keeps logLikelihoods' scratch between calls, so warm
+// scoring blocks allocate nothing. Buffers are not cleared: every value
+// logLikelihoods reads, it has written first in the same call.
+var llScratch sync.Pool // *[]float64
+
+// mahaLanes is the number of frames one mahaSweep call scores.
+const mahaLanes = 4
+
+// kernelShape reports whether the model fits mahaSweep: one mean and
+// one variance row of at least Dim values per weight.
+func (g *GMM) kernelShape() bool {
+	k, dim := g.NumComponents(), g.Dim()
+	if len(g.Means) != k || len(g.Vars) != k || len(g.logConst) != k {
+		return false
+	}
+	for c := 0; c < k; c++ {
+		if len(g.Means[c]) < dim || len(g.Vars[c]) < dim {
+			return false
+		}
+	}
+	return true
+}
+
+// interleave writes mahaLanes frames into xt lane-wise, xt[d·mahaLanes+j]
+// = group[j][d], and reports false, writing nothing, unless every frame
+// has exactly len(xt)/mahaLanes values.
+func interleave(xt []float64, group [][]float64) bool {
+	dim := len(xt) / mahaLanes
+	for _, x := range group {
+		if len(x) != dim {
+			return false
+		}
+	}
+	for j, x := range group {
+		for d, v := range x {
+			xt[d*mahaLanes+j] = v
+		}
+	}
+	return true
 }
 
 // ensureNorm materializes the cached normalization constants before a
 // parallel region. componentLogLik refreshes the cache lazily, which is
 // fine serially but would race when frames fan out across workers.
 func (g *GMM) ensureNorm() {
-	if g.logNorm == nil {
+	if g.logConst == nil {
 		g.refreshNorm()
 	}
 }
@@ -354,10 +453,7 @@ func (g *GMM) MeanLogLikelihoodSpan(span *telemetry.Span, frames [][]float64) fl
 	span.SetInt("components", int64(k))
 	lls := make([]float64, len(frames))
 	parallel.SpanRange(span, "loglik-block", len(frames), func(lo, hi int) {
-		scratch := make([]float64, k)
-		for i := lo; i < hi; i++ {
-			lls[i] = g.logLikelihoodInto(frames[i], scratch)
-		}
+		g.logLikelihoods(frames[lo:hi], lls[lo:hi])
 	})
 	var s float64
 	for _, v := range lls {

@@ -72,7 +72,7 @@ type ScoringModel struct {
 	stride   int       // dim rounded up to a multiple of 4
 	means    []float32 // k rows × stride, padded with zeros
 	invVars  []float32 // k rows × stride, padded with zeros
-	consts   []float64 // per component: log w + logNorm
+	consts   []float64 // per component: log w + log-normalizer (GMM.logConst)
 	consts32 []float32 // consts quantized once, for the selection loop
 	digest   string    // content digest of the source model
 }
@@ -127,7 +127,7 @@ func Compile(g *GMM) (*ScoringModel, error) {
 		}
 		// Padding dimensions keep zero means and zero inverse variances,
 		// so they contribute nothing to the quadratic form.
-		m.consts[c] = math.Log(g.Weights[c]+1e-300) + g.logNorm[c]
+		m.consts[c] = g.logConst[c]
 		m.consts32[c] = float32(m.consts[c])
 	}
 	return m, nil
