@@ -185,6 +185,17 @@ func (r *payloadReader) f64(field string) (float64, error) {
 	return v, nil
 }
 
+// f64s fills dst with the next len(dst) float64s in one pass. Callers
+// size dst by elems, which has proved that exactly those bytes follow,
+// so no value needs its own bounds check or error.
+func (r *payloadReader) f64s(dst []float64) {
+	b := r.buf[r.off : r.off+8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	r.off += len(b)
+}
+
 func (r *payloadReader) bytes(field string, n int) ([]byte, error) {
 	if n < 0 || r.off+n > len(r.buf) {
 		return nil, r.fail(field)
@@ -294,14 +305,17 @@ func DecodeSensorChunk(p []byte) (SensorChunk, error) {
 		return SensorChunk{}, err
 	}
 	c := SensorChunk{Kind: SensorKind(kind), Samples: make([]Sample, n)}
+	b := r.buf[r.off : r.off+32*n]
 	for i := range c.Samples {
-		s := &c.Samples[i]
-		for _, dst := range []*float64{&s.T, &s.X, &s.Y, &s.Z} {
-			if *dst, err = r.f64("sample"); err != nil {
-				return SensorChunk{}, err
-			}
+		v := b[32*i : 32*i+32]
+		c.Samples[i] = Sample{
+			T: math.Float64frombits(binary.LittleEndian.Uint64(v)),
+			X: math.Float64frombits(binary.LittleEndian.Uint64(v[8:])),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(v[16:])),
+			Z: math.Float64frombits(binary.LittleEndian.Uint64(v[24:])),
 		}
 	}
+	r.off += len(b)
 	return c, r.leftover()
 }
 
@@ -328,14 +342,16 @@ func DecodeFieldChunk(p []byte) (FieldChunk, error) {
 		return FieldChunk{}, err
 	}
 	c := FieldChunk{Points: make([]FieldPoint, n)}
+	b := r.buf[r.off : r.off+24*n]
 	for i := range c.Points {
-		pt := &c.Points[i]
-		for _, dst := range []*float64{&pt.AngleDeg, &pt.FreqHz, &pt.LevelDB} {
-			if *dst, err = r.f64("point"); err != nil {
-				return FieldChunk{}, err
-			}
+		v := b[24*i : 24*i+24]
+		c.Points[i] = FieldPoint{
+			AngleDeg: math.Float64frombits(binary.LittleEndian.Uint64(v)),
+			FreqHz:   math.Float64frombits(binary.LittleEndian.Uint64(v[8:])),
+			LevelDB:  math.Float64frombits(binary.LittleEndian.Uint64(v[16:])),
 		}
 	}
+	r.off += len(b)
 	return c, r.leftover()
 }
 
@@ -373,11 +389,7 @@ func DecodeAudioChunk(p []byte) (AudioChunk, error) {
 		return AudioChunk{}, err
 	}
 	c.Samples = make([]float64, n)
-	for i := range c.Samples {
-		if c.Samples[i], err = r.f64("sample"); err != nil {
-			return AudioChunk{}, err
-		}
-	}
+	r.f64s(c.Samples)
 	return c, r.leftover()
 }
 
