@@ -13,7 +13,7 @@ import "voiceguard/internal/cpuid"
 // stride is a whole number of 8-dim double blocks. The AVX2 kernel uses
 // no FMA — fusing would change rounding and break the bit contract.
 func quadSweep(means, invVars, xf, out []float32, k, stride int) {
-	if useAVX2 && stride%8 == 0 {
+	if cpuid.AVX2 && stride%8 == 0 {
 		quadSweepAVX2(means, invVars, xf, out, k, stride)
 		return
 	}
@@ -32,7 +32,7 @@ func quadSweepAVX2(means, invVars, xf, out []float32, k, stride int)
 // portable topCExtract implement the identical extraction procedure, so
 // the choice never changes a single bit of the shortlist.
 func topCSelect(scores []float32, vals []float64, idx []int32) {
-	if useAVX2 && len(scores)%8 == 0 {
+	if cpuid.AVX2 && len(scores)%8 == 0 {
 		topCSelectAVX2(scores, vals, idx)
 		return
 	}
@@ -47,7 +47,7 @@ func topCSelect(scores []float32, vals []float64, idx []int32) {
 // extraction; every other shape converts in place and dispatches through
 // topCSelect. All paths produce bit-identical output.
 func scoreSelect(q, consts []float32, vals []float64, idx []int32) {
-	if useAVX2 && len(q) == 32 {
+	if cpuid.AVX2 && len(q) == 32 {
 		topCScore32AVX2(q, consts, vals, idx)
 		return
 	}
@@ -63,6 +63,3 @@ func topCSelectAVX2(scores []float32, vals []float64, idx []int32)
 
 //go:noescape
 func topCScore32AVX2(q, consts []float32, vals []float64, idx []int32)
-
-// useAVX2 selects the AVX2 kernels; see cpuid.AVX2.
-var useAVX2 = cpuid.AVX2

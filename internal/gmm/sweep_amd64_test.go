@@ -5,6 +5,8 @@ package gmm
 import (
 	"math/rand"
 	"testing"
+
+	"voiceguard/internal/cpuid"
 )
 
 // TestQuadSweepVariantsMatch pins both assembly kernels against the
@@ -34,7 +36,7 @@ func TestQuadSweepVariantsMatch(t *testing.T) {
 				t.Errorf("SSE k=%d stride=%d comp %d: %x vs %x", tc.k, tc.stride, i, got[i], want[i])
 			}
 		}
-		if useAVX2 && tc.stride%8 == 0 {
+		if cpuid.AVX2 && tc.stride%8 == 0 {
 			for i := range got {
 				got[i] = 0
 			}
@@ -52,7 +54,7 @@ func TestQuadSweepVariantsMatch(t *testing.T) {
 // the portable mirror, including duplicate scores (the tie rule) and
 // c = k (full extraction).
 func TestTopCSelectAVX2MatchesExtract(t *testing.T) {
-	if !useAVX2 {
+	if !cpuid.AVX2 {
 		t.Skip("no AVX2 on this machine")
 	}
 	rng := rand.New(rand.NewSource(43))
@@ -87,7 +89,7 @@ func TestTopCSelectAVX2MatchesExtract(t *testing.T) {
 // kernel against the scalar conversion + portable extraction, including
 // duplicate quadratic forms (tie rule) and full extraction (c = 32).
 func TestTopCScore32MatchesScalar(t *testing.T) {
-	if !useAVX2 {
+	if !cpuid.AVX2 {
 		t.Skip("no AVX2 on this machine")
 	}
 	rng := rand.New(rand.NewSource(47))
