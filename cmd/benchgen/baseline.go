@@ -20,9 +20,8 @@ import (
 const nsSlack = 2.5
 
 // allocSlack is the fractional headroom on allocs/op for rows that are
-// not deterministic micro benchmarks (experiment and concurrent rows
-// allocate through goroutines and one-shot setup, so exact counts
-// wobble).
+// not deterministic micro benchmarks (experiment rows allocate through
+// goroutines and one-shot setup, so exact counts wobble).
 const allocSlack = 0.10
 
 // nsExempt lists rows whose ns/op is not compared against the baseline

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"voiceguard/internal/attack"
@@ -75,29 +74,24 @@ func benchSignal(seconds float64) *audio.Signal {
 func benchJSONRows(seed int64) ([]benchRow, error) {
 	sig := benchSignal(2)
 
-	// The gmm rows score the production-shaped workload: a 32-component
+	// The gmm row scores the production-shaped workload: a 32-component
 	// UBM trained on real MFCC frames from the repo's own speech
-	// synthesis — the model family the serving path actually runs. The
-	// well-separated synthetic blobs used through PR 7 let the exact
-	// path's exp underflow early-out, making it artificially cheap and
-	// understating the fast path's speedup.
+	// synthesis — the model family the serving path actually runs.
+	// Well-separated synthetic blobs would let the exp underflow
+	// early-out, making the scoring loop artificially cheap.
 	utts, err := speech.NewRoster(4, 77).Generate(speech.CorpusConfig{
 		Sessions: 2, UtterancesPerSession: 2, Digits: 5,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("generating bench corpus: %w", err)
 	}
-	var pool, enroll [][]float64
-	enrollName := utts[0].Speaker
+	var pool [][]float64
 	for _, u := range utts {
 		fr, err := features.Extract(u.Audio, features.DefaultMFCCConfig())
 		if err != nil {
 			return nil, fmt.Errorf("extracting bench features: %w", err)
 		}
 		pool = append(pool, fr...)
-		if u.Speaker == enrollName {
-			enroll = append(enroll, fr...)
-		}
 	}
 	if len(pool) < 300 {
 		return nil, fmt.Errorf("bench corpus pooled only %d MFCC frames, want ≥ 300", len(pool))
@@ -107,18 +101,6 @@ func benchJSONRows(seed int64) ([]benchRow, error) {
 		return nil, fmt.Errorf("training bench UBM: %w", err)
 	}
 	scoreFrames := pool[:300]
-	compiled, err := gmm.Compile(model)
-	if err != nil {
-		return nil, fmt.Errorf("compiling bench UBM: %w", err)
-	}
-	speaker, err := gmm.MAPAdapt(model, enroll, 16)
-	if err != nil {
-		return nil, fmt.Errorf("adapting bench speaker model: %w", err)
-	}
-	speakerCompiled, err := gmm.Compile(speaker)
-	if err != nil {
-		return nil, fmt.Errorf("compiling bench speaker model: %w", err)
-	}
 
 	// The served gesture capture: 2.5 s of 19 kHz pilot at 48 kHz.
 	capture, err := ranging.Simulate(ranging.DefaultChannel(), 2.5,
@@ -174,16 +156,6 @@ func benchJSONRows(seed int64) ([]benchRow, error) {
 			model.MeanLogLikelihood(scoreFrames)
 			return nil
 		}},
-		{"micro/gmm.ScoringModelCompile", 200, func() error {
-			_, err := gmm.Compile(model)
-			return err
-		}},
-		{"micro/gmm.TopCShortlist", 50, func() error {
-			// Same 300 frames as micro/gmm.MeanLogLikelihood — the two
-			// rows are the exact-vs-fast speedup comparison.
-			_, err := compiled.TopC(scoreFrames, gmm.DefaultShortlistC)
-			return err
-		}},
 		{"micro/ranging.Recover", 50, func() error {
 			_, err := ranging.Recover(capture, ranging.RecoverConfig{Freq: ranging.DefaultPilotHz})
 			return err
@@ -216,12 +188,6 @@ func benchJSONRows(seed int64) ([]benchRow, error) {
 		rows = append(rows, row)
 	}
 
-	concurrent, err := measureConcurrentVerify(compiled, speakerCompiled, pool)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, concurrent)
-
 	e2e, err := streamLatencyRows(seed)
 	if err != nil {
 		return nil, err
@@ -251,57 +217,6 @@ func streamLatencyRows(seed int64) ([]benchRow, error) {
 		)
 	}
 	return rows, nil
-}
-
-// measureConcurrentVerify times the fast ASV scoring path under
-// concurrency: workers score utterance-sized frame blocks through the
-// compiled UBM's TopC and finish each verify against the compiled
-// speaker model, the work every concurrent fast-path verify does. The
-// row is normalized per verify, so it reads as verify latency under
-// load and its inverse is verifies/sec.
-func measureConcurrentVerify(ubm, speaker *gmm.ScoringModel, frames [][]float64) (benchRow, error) {
-	const (
-		workers           = 8
-		verifiesPerWorker = 16
-		uttFrames         = 50
-	)
-	row, err := measure("concurrent/asv.TopCVerify", 1, func() error {
-		errCh := make(chan error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < verifiesPerWorker; i++ {
-					off := ((w*verifiesPerWorker + i) * uttFrames) % (len(frames) - uttFrames)
-					utt := frames[off : off+uttFrames]
-					sl, err := ubm.TopC(utt, gmm.DefaultShortlistC)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					if _, err := speaker.MeanLogLikelihoodShortlist(utt, sl); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		select {
-		case err := <-errCh:
-			return err
-		default:
-			return nil
-		}
-	})
-	if err != nil {
-		return benchRow{}, err
-	}
-	total := float64(workers * verifiesPerWorker)
-	row.NsPerOp /= total
-	row.AllocsPerOp = uint64(float64(row.AllocsPerOp) / total)
-	return row, nil
 }
 
 // writeBenchJSON runs the suite, writes the rows to path and returns

@@ -12,6 +12,13 @@
 // With -stream the session goes over the binary streaming protocol
 // (PROTOCOL.md) instead of one HTTP POST, and the verdict can arrive
 // before the upload finishes.
+//
+// The victim's voice is drawn from -user and -seed. -mode genuine
+// therefore speaks with the voice of a server started with
+// -enroll victim:seed=N only when the client is given -seed N:
+//
+//	voiceguard-server -asv -enroll victim:seed=17
+//	voiceguard-client -mode genuine -seed 17
 package main
 
 import (
@@ -37,7 +44,7 @@ func main() {
 	speakerIdx := flag.Int("speaker", 0, "loudspeaker catalog index (0-24) for machine attacks")
 	distance := flag.Float64("distance", 0.06, "true sound-source distance in meters")
 	user := flag.String("user", "victim", "claimed user")
-	seed := flag.Int64("seed", 1, "session seed")
+	seed := flag.Int64("seed", 1, "session seed; it also draws the victim's voice from -user, so -mode genuine speaks with the voice the server enrolled for -enroll user:seed=N only when -seed is N")
 	flag.Parse()
 
 	if err := run(*serverURL, *streamAddr, *mode, *speakerIdx, *distance, *user, *seed); err != nil {

@@ -17,7 +17,6 @@
 //
 //	voiceguard-server -addr :8443
 //	voiceguard-server -addr :8443 -asv -enroll victim:seed=17
-//	voiceguard-server -addr :8443 -asv -asv-fast -asv-cache 256
 //	voiceguard-server -addr :8443 -pprof -decisions -metrics=false
 //	voiceguard-server -addr :8443 -verify-timeout 2s -max-inflight 16
 //	voiceguard-server -addr :8443 -decisions -evidence -evidence-dir /var/spool/voiceguard
@@ -40,7 +39,6 @@ import (
 
 	"voiceguard/internal/evidence"
 	"voiceguard/internal/evidence/rebuild"
-	"voiceguard/internal/gmm"
 	"voiceguard/internal/server"
 )
 
@@ -62,8 +60,6 @@ type config struct {
 	evidenceOn    bool
 	evidenceDir   string
 	evidenceKeep  int
-	asvFast       bool
-	asvCache      int
 
 	drift          bool
 	driftAlertPSI  float64 // unit: dimensionless
@@ -91,8 +87,6 @@ func main() {
 	flag.BoolVar(&cfg.evidenceOn, "evidence", false, "mount GET /debug/evidence/{trace_id} serving per-decision evidence packs (they embed session audio unless ?redact=digests)")
 	flag.StringVar(&cfg.evidenceDir, "evidence-dir", "", "spool an evidence pack into this directory for every rejected decision")
 	flag.IntVar(&cfg.evidenceKeep, "evidence-retention", 0, "evidence session retention ring capacity (0 = default)")
-	flag.BoolVar(&cfg.asvFast, "asv-fast", false, "serve ASV scoring through the compiled top-C shortlist path (requires -asv)")
-	flag.IntVar(&cfg.asvCache, "asv-cache", 0, "compiled speaker-model LRU capacity for -asv-fast (0 = default)")
 	flag.BoolVar(&cfg.drift, "drift", true, "mount the GET /debug/drift aggregate drift/SLO report (windows are always fed)")
 	flag.Float64Var(&cfg.driftAlertPSI, "drift-alert-psi", 0, "PSI above which a drift series alerts (0 = default 0.25)")
 	flag.Float64Var(&cfg.sloAvail, "slo-availability", 0, "availability objective, e.g. 0.999 (0 disables the availability SLO)")
@@ -148,12 +142,6 @@ func run(ctx context.Context, cfg config, logger *slog.Logger) error {
 	}
 	if cfg.evidenceKeep > 0 {
 		opts = append(opts, server.WithEvidenceRetention(cfg.evidenceKeep))
-	}
-	if cfg.asvFast {
-		opts = append(opts, server.WithASVFastPath())
-	}
-	if cfg.asvCache > 0 {
-		opts = append(opts, server.WithASVModelCache(cfg.asvCache))
 	}
 	opts = append(opts, server.WithDriftEndpoint(cfg.drift))
 	if cfg.driftAlertPSI > 0 {
@@ -221,18 +209,10 @@ func provenance(cfg config) (evidence.Provenance, error) {
 		if cfg.enrollSpec != "" {
 			return p, fmt.Errorf("-enroll requires -asv")
 		}
-		if cfg.asvFast {
-			return p, fmt.Errorf("-asv-fast requires -asv")
-		}
 		return p, nil
 	}
 	p.ASV = &evidence.ASVProvenance{
 		Seed: cfg.seed, Roster: 8, Sessions: 2, Utterances: 2, Digits: 6,
-	}
-	if cfg.asvFast {
-		// Record the serving shortlist width so a pack replayer rebuilds
-		// with the same scoring path and reproduces scores bit-for-bit.
-		p.ASV.FastTopC = gmm.DefaultShortlistC
 	}
 	if cfg.enrollSpec == "" {
 		return p, nil

@@ -1,9 +1,8 @@
 // Command voiceguard-top renders a refreshing terminal view of a running
 // verification server: outcome and stage-latency summaries scraped from
-// /metrics, drift scores, SLO burn rates and resource attribution from
-// /debug/drift, and the ASV model-cache state from /healthz —
-// the at-a-glance answer to "is the fleet healthy and has the evidence
-// distribution moved".
+// /metrics, and drift scores, SLO burn rates and resource attribution
+// from /debug/drift — the at-a-glance answer to "is the fleet healthy
+// and has the evidence distribution moved".
 //
 // Usage:
 //
@@ -14,7 +13,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -175,15 +173,6 @@ func buildView(samples []promSample) metricsView {
 	return v
 }
 
-// asvView is the /healthz ASV section (mirrors the server's asvHealth).
-type asvView struct {
-	CacheEntries       int     `json:"cache_entries"`
-	CacheResidentBytes int64   `json:"cache_resident_bytes"`
-	CacheHits          int64   `json:"cache_hits"`
-	CacheMisses        int64   `json:"cache_misses"`
-	CacheHitRatio      float64 `json:"cache_hit_ratio"`
-}
-
 // render fetches one snapshot of every surface and formats the frame.
 func render(ctx context.Context, c *client.Client, timeline int) (string, error) {
 	rep, err := c.DriftReport(ctx, timeline)
@@ -195,15 +184,6 @@ func render(ctx context.Context, c *client.Client, timeline int) (string, error)
 		return "", err
 	}
 	view := buildView(parseMetrics(text))
-	var asv *asvView
-	if health, err := c.Health(ctx); err == nil {
-		if raw, ok := health["asv"]; ok {
-			var a asvView
-			if json.Unmarshal(raw, &a) == nil {
-				asv = &a
-			}
-		}
-	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "voiceguard-top — %s — %s\n\n", c.BaseURL,
@@ -263,11 +243,6 @@ func render(ctx context.Context, c *client.Client, timeline int) (string, error)
 			}
 			b.WriteString("\n")
 		}
-	}
-
-	if asv != nil {
-		fmt.Fprintf(&b, "\nasv      cache %d models / %s  hit %.1f%%\n",
-			asv.CacheEntries, bytesHuman(float64(asv.CacheResidentBytes)), asv.CacheHitRatio*100)
 	}
 
 	if len(rep.Timeline) > 0 {

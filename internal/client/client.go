@@ -536,29 +536,6 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 	return string(data), nil
 }
 
-// Health fetches the /healthz readiness document as loosely-typed JSON
-// (the shape is the server's healthResponse; voiceguard-top reads the
-// ASV serving-state section from it).
-func (c *Client) Health(ctx context.Context) (map[string]json.RawMessage, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: building request: %w", err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: fetching /healthz: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("client: /healthz returned status %d", resp.StatusCode)
-	}
-	var out map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decoding health document: %w", err)
-	}
-	return out, nil
-}
-
 // DumpDecisionsJSONL streams the server's retained traces as JSONL into
 // w — the offline input format of cmd/voiceguard-trace.
 func (c *Client) DumpDecisionsJSONL(w io.Writer) error {

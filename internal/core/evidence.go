@@ -16,7 +16,6 @@ import (
 
 	"voiceguard/internal/audio"
 	"voiceguard/internal/evidence"
-	"voiceguard/internal/gmm"
 	"voiceguard/internal/sensors"
 )
 
@@ -36,21 +35,6 @@ func (v *SpeakerVerifier) ModelDigests() (map[string]string, error) {
 		return nil, fmt.Errorf("core: digesting ASV config: %w", err)
 	}
 	out["asv/config"] = evidence.Digest(cfg)
-	if f := v.fast; f != nil {
-		// The compiled form's provenance: shortlist width, layout version
-		// and the source-UBM digest pin exactly which fast path served.
-		// Absent when the exact path serves, so replay of exact-path packs
-		// stays bit-exact against a plainly rebuilt system.
-		doc, err := json.Marshal(struct {
-			TopC   int    `json:"top_c"`
-			Layout string `json:"layout"`
-			UBM    string `json:"ubm"`
-		}{f.topC, gmm.ScoringLayout, f.ubm.Digest()})
-		if err != nil {
-			return nil, fmt.Errorf("core: digesting fast-path config: %w", err)
-		}
-		out["asv/fast"] = evidence.Digest(doc)
-	}
 
 	var buf bytes.Buffer
 	if err := v.ubm.Save(&buf); err != nil {

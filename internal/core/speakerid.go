@@ -54,18 +54,13 @@ type SpeakerVerifier struct {
 	usersMu  sync.RWMutex
 	users    map[string]enrollment
 	isvUsers map[string]*gmm.ISVSpeaker
-
-	// fast is the compiled top-C scoring state; nil selects the exact
-	// path (the default).
-	fast *fastASV
 }
 
 // enrollment is one GMM-UBM user: the MAP-adapted verifier and the
 // content digest of its speaker model. The digest is computed once,
-// when the model is made, and travels with it, so the fast path's
-// compiled-model cache key always names the model being scored — a
-// verify racing a re-enrollment scores the old model or the new one,
-// never the new one's key bound to the old model.
+// when the model is made, and travels with it, so the "asv/user/<name>"
+// entry of ModelDigests always names the model Score uses — a
+// re-enrollment replaces both at once.
 type enrollment struct {
 	ver    *gmm.Verifier
 	digest string
@@ -78,25 +73,6 @@ func newEnrollment(user string, ver *gmm.Verifier) (enrollment, error) {
 		return enrollment{}, fmt.Errorf("core: digesting speaker model %q: %w", user, err)
 	}
 	return enrollment{ver: ver, digest: dig}, nil
-}
-
-// FastPathConfig configures EnableFastPath.
-type FastPathConfig struct {
-	// TopC is the shortlist width (default gmm.DefaultShortlistC).
-	TopC int
-	// Cache holds compiled speaker models across requests, keyed by
-	// model digest. nil builds a private metric-less cache of
-	// gmm.DefaultModelCacheSize entries; the server passes one wired to
-	// its telemetry registry.
-	Cache *gmm.ModelCache
-}
-
-// fastASV is the compiled scoring state behind the fast path: the
-// compiled UBM and the speaker-model cache.
-type fastASV struct {
-	topC  int
-	ubm   *gmm.ScoringModel
-	cache *gmm.ModelCache
 }
 
 // SpeakerVerifierConfig configures training.
@@ -292,9 +268,6 @@ func (v *SpeakerVerifier) ScoreSpan(span *telemetry.Span, user string, utt *audi
 		if !ok {
 			return 0, fmt.Errorf("%w: %q", ErrUnknownUser, user)
 		}
-		if f := v.fast; f != nil {
-			return f.score(sc, user, e, frames)
-		}
 		return e.ver.ScoreSpan(sc, frames), nil
 	}
 }
@@ -332,79 +305,6 @@ func (v *SpeakerVerifier) VerifySpan(span *telemetry.Span, user string, utt *aud
 
 // Backend returns the configured back-end.
 func (v *SpeakerVerifier) Backend() Backend { return v.backend }
-
-// EnableFastPath switches the GMM-UBM backend to the compiled top-C
-// scoring path: the UBM is compiled once, speaker models compile on
-// first use into the configured cache, and each verify scores the
-// speaker only on the frame's C best UBM components. Scores stay within
-// gmm.ShortlistEpsilon of the exact path; verdicts are identical
-// whenever the threshold margin exceeds that bound. Callers that pin
-// bit-exact scores (evidence replay of exact-path packs) simply never
-// enable it. Not supported on the ISV backend, whose scoring is not
-// component-shortlistable.
-func (v *SpeakerVerifier) EnableFastPath(cfg FastPathConfig) error {
-	if v.backend != BackendGMMUBM {
-		return fmt.Errorf("core: fast ASV scoring requires the GMM-UBM backend, not %v", v.backend)
-	}
-	if cfg.TopC == 0 {
-		cfg.TopC = gmm.DefaultShortlistC
-	}
-	if cfg.TopC < 0 {
-		return fmt.Errorf("core: fast ASV shortlist width %d, want ≥ 1", cfg.TopC)
-	}
-	sm, err := gmm.Compile(v.ubm)
-	if err != nil {
-		return fmt.Errorf("core: compiling UBM: %w", err)
-	}
-	cache := cfg.Cache
-	if cache == nil {
-		cache = gmm.NewModelCache(0, gmm.CacheMetrics{})
-	}
-	v.fast = &fastASV{topC: cfg.TopC, ubm: sm, cache: cache}
-	return nil
-}
-
-// DisableFastPath returns to the exact scoring path.
-func (v *SpeakerVerifier) DisableFastPath() { v.fast = nil }
-
-// score runs one fast-path verification: UBM shortlist, cached
-// speaker-model compile, shortlist-restricted speaker pass, LLR.
-func (f *fastASV) score(span *telemetry.Span, user string, e enrollment, frames [][]float64) (float64, error) {
-	if len(frames) == 0 {
-		return math.Inf(-1), nil
-	}
-	span.SetString("scoring_path", "fast-topc")
-	span.SetInt("top_c", int64(f.topC))
-	us := span.StartSpan("ubm-shortlist")
-	sl, err := f.ubm.TopC(frames, f.topC)
-	us.End()
-	if err != nil {
-		return 0, fmt.Errorf("core: UBM shortlist for %q: %w", user, err)
-	}
-	sm, err := f.speakerModel(user, e)
-	if err != nil {
-		return 0, err
-	}
-	ms := span.StartSpan("model-shortlist")
-	model, err := sm.MeanLogLikelihoodShortlist(frames, sl)
-	ms.End()
-	if err != nil {
-		return 0, fmt.Errorf("core: shortlist scoring for %q: %w", user, err)
-	}
-	llr := model - sl.MeanLL()
-	span.SetFloat("llr", llr, "nat/frame")
-	return llr, nil
-}
-
-// speakerModel returns the enrollment's compiled speaker model through
-// the LRU cache, keyed by the digest stored with it.
-func (f *fastASV) speakerModel(user string, e enrollment) (*gmm.ScoringModel, error) {
-	sm, err := f.cache.Get(e.digest, func() (*gmm.ScoringModel, error) { return gmm.Compile(e.ver.Speaker) })
-	if err != nil {
-		return nil, fmt.Errorf("core: compiling speaker model %q: %w", user, err)
-	}
-	return sm, nil
-}
 
 // CalibrateThreshold sets the accept threshold from held-out genuine
 // utterances of an enrolled user: the minimum genuine score minus the

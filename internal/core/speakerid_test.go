@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -11,7 +12,9 @@ import (
 
 // TestEnrollWhileVerifyingIsRaceFree enrolls users while another
 // goroutine verifies, as concurrent POST /enroll and /verify do; under
-// -race it fails unless the user maps are synchronized.
+// -race it fails unless the user maps are synchronized. It then
+// re-enrolls a user and checks that the user's model digest and score
+// both follow the new model.
 func TestEnrollWhileVerifyingIsRaceFree(t *testing.T) {
 	for _, backend := range []Backend{BackendGMMUBM, BackendISV} {
 		v, err := TrainSpeakerVerifier(buildBackground(t, 2, 910),
@@ -42,8 +45,46 @@ func TestEnrollWhileVerifyingIsRaceFree(t *testing.T) {
 			}
 		}
 		wg.Wait()
-		if _, err := v.ModelDigests(); err != nil {
-			t.Error(err)
+		before, err := v.ModelDigests()
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldScore, err := v.Score("victim", utts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Re-enrolling replaces the model that both the "asv/user/"
+		// digest and the exact score read: each must equal those of a
+		// user enrolled from the new utterances alone.
+		reenroll := [][]*audio.Signal{utts[1:]}
+		for _, user := range []string{"victim", "fresh"} {
+			if err := v.Enroll(user, reenroll); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after, err := v.ModelDigests()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after["asv/user/victim"] == before["asv/user/victim"] {
+			t.Errorf("%v: asv/user/victim digest did not change on re-enrollment", backend)
+		}
+		if after["asv/user/victim"] != after["asv/user/fresh"] {
+			t.Errorf("%v: re-enrolled digest %.12s, want the new model's %.12s",
+				backend, after["asv/user/victim"], after["asv/user/fresh"])
+		}
+		got, err := v.Score("victim", utts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := v.Score("fresh", utts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) || got == oldScore {
+			t.Errorf("%v: re-enrolled score %v, want the new model's %v (old model scored %v)",
+				backend, got, want, oldScore)
 		}
 	}
 }

@@ -197,11 +197,11 @@ type ASVProvenance struct {
 	Digits int `json:"digits"`
 	// Enroll lists the enrolled users in enrollment order.
 	Enroll []EnrollProvenance `json:"enroll,omitempty"`
-	// FastTopC, when positive, records that the producer served with the
-	// compiled top-C fast scoring path at this shortlist width; rebuild
-	// re-enables it so replayed fast-path scores reproduce bit-for-bit.
-	// Zero — the default, and the value in packs that predate the fast
-	// path — keeps the exact path.
+	// FastTopC is decode-only. A positive value marks a pack whose
+	// producer scored stage 4 through a top-C shortlist of this width.
+	// This build has only the exact scorer, so rebuild refuses such a
+	// recipe; the field stays so those packs still decode and the
+	// refusal can name it. Nothing in this build writes it.
 	FastTopC int `json:"fast_top_c,omitempty"`
 }
 

@@ -35,10 +35,15 @@ func Profile(user string, seed int64) speech.Profile {
 
 // TrainASV trains the speaker-verification back-end from its provenance
 // recipe and enrolls every listed user. A nil recipe returns nil (the
-// identity stage was disabled).
+// identity stage was disabled). A recipe with fast_top_c > 0 is refused:
+// its producer scored through a top-C shortlist, and this build has only
+// the exact scorer, whose LLR bits cannot match that pack's.
 func TrainASV(p *evidence.ASVProvenance) (*core.SpeakerVerifier, error) {
 	if p == nil {
 		return nil, nil
+	}
+	if p.FastTopC > 0 {
+		return nil, fmt.Errorf("rebuild: asv.fast_top_c = %d: the producer scored through a top-C shortlist, and this build has no shortlist scorer, so its LLRs cannot be reproduced", p.FastTopC)
 	}
 	roster := speech.NewRoster(p.Roster, p.Seed+100)
 	utts, err := roster.Generate(speech.CorpusConfig{
@@ -70,14 +75,6 @@ func TrainASV(p *evidence.ASVProvenance) (*core.SpeakerVerifier, error) {
 	for _, e := range p.Enroll {
 		if err := Enroll(verifier, e); err != nil {
 			return nil, err
-		}
-	}
-	if p.FastTopC > 0 {
-		// The producer served with the compiled shortlist path; rebuild
-		// with the same width so replayed scores (and the asv/fast model
-		// digest) reproduce bit-for-bit.
-		if err := verifier.EnableFastPath(core.FastPathConfig{TopC: p.FastTopC}); err != nil {
-			return nil, fmt.Errorf("rebuild: enabling fast ASV path: %w", err)
 		}
 	}
 	return verifier, nil
@@ -112,15 +109,17 @@ func Enroll(v *core.SpeakerVerifier, e evidence.EnrollProvenance) error {
 
 // System constructs the full pipeline a provenance recipe describes:
 // the anti-spoofing stages from the field seed, plus the trained and
-// enrolled identity stage when the recipe carries one.
+// enrolled identity stage when the recipe carries one. The identity
+// stage trains first, so a recipe TrainASV refuses fails before the
+// sound-field SVM trains.
 func System(p evidence.Provenance) (*core.System, error) {
-	sys, err := core.BuildSystem(core.SystemConfig{FieldSeed: p.FieldSeed})
-	if err != nil {
-		return nil, fmt.Errorf("rebuild: building pipeline: %w", err)
-	}
 	verifier, err := TrainASV(p.ASV)
 	if err != nil {
 		return nil, err
+	}
+	sys, err := core.BuildSystem(core.SystemConfig{FieldSeed: p.FieldSeed})
+	if err != nil {
+		return nil, fmt.Errorf("rebuild: building pipeline: %w", err)
 	}
 	if verifier != nil {
 		sys.AttachIdentity(verifier)

@@ -2,6 +2,7 @@ package rebuild
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -186,5 +187,29 @@ func TestReplayRefusesRedactedSessions(t *testing.T) {
 	}
 	if _, err := Replay(p, sys); err == nil {
 		t.Fatal("replay of a redacted pack succeeded")
+	}
+}
+
+// TestSystemRefusesShortlistRecipe pins the refusal of packs whose
+// producer scored stage 4 through a top-C shortlist: this build has only
+// the exact scorer, so rebuilding would silently yield LLRs whose bits
+// cannot match the pack's. The recipe still decodes.
+func TestSystemRefusesShortlistRecipe(t *testing.T) {
+	var prov evidence.Provenance
+	doc := `{"generator":"server","field_seed":1,"asv":{"seed":1,"roster":8,"sessions":2,"utterances":2,"digits":6,"fast_top_c":8}}`
+	if err := json.Unmarshal([]byte(doc), &prov); err != nil {
+		t.Fatalf("shortlist recipe no longer decodes: %v", err)
+	}
+	if prov.ASV == nil || prov.ASV.FastTopC != 8 {
+		t.Fatalf("decoded recipe %+v lost fast_top_c", prov.ASV)
+	}
+	sys, err := System(prov)
+	if err == nil {
+		t.Fatalf("rebuilt %v from a shortlist recipe", sys)
+	}
+	for _, want := range []string{"fast_top_c", "no shortlist scorer"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not mention %q", err, want)
+		}
 	}
 }

@@ -3,7 +3,11 @@ package gmm
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
+
+	"voiceguard/internal/features"
+	"voiceguard/internal/speech"
 )
 
 // randomGMM builds a k-component, dim-dimensional mixture with random
@@ -103,6 +107,62 @@ func TestExactKernelRaggedFrames(t *testing.T) {
 			t.Fatalf("frame %d: %v, want %v", i, got[i], want)
 		}
 	}
+}
+
+// mfccFixture is a production-shaped verification scenario: a
+// 32-component UBM over real MFCC frames from the repo's own speech
+// synthesis and a speaker MAP-adapted from one utterance. Building it
+// runs EM once, so benchmarks share one instance.
+type mfccFixture struct {
+	verifier *Verifier
+	pool     [][]float64 // all frames, UBM training set
+}
+
+var (
+	mfccOnce sync.Once
+	mfccFix  *mfccFixture
+	mfccErr  error
+)
+
+func loadMFCCFixture(tb testing.TB) *mfccFixture {
+	tb.Helper()
+	mfccOnce.Do(func() {
+		mfccFix, mfccErr = buildMFCCFixture()
+	})
+	if mfccErr != nil {
+		tb.Fatal(mfccErr)
+	}
+	return mfccFix
+}
+
+func buildMFCCFixture() (*mfccFixture, error) {
+	utts, err := speech.NewRoster(4, 77).Generate(speech.CorpusConfig{
+		Sessions: 2, UtterancesPerSession: 2, Digits: 5,
+	})
+	if err != nil {
+		return nil, err
+	}
+	f := &mfccFixture{}
+	var enroll [][]float64
+	for _, u := range utts {
+		fr, err := features.Extract(u.Audio, features.DefaultMFCCConfig())
+		if err != nil {
+			return nil, err
+		}
+		f.pool = append(f.pool, fr...)
+		if len(enroll) == 0 && u.Speaker == utts[0].Speaker {
+			enroll = fr
+		}
+	}
+	ubm, err := TrainUBM(f.pool, TrainConfig{Components: 32, Seed: 1})
+	if err != nil {
+		return nil, err
+	}
+	f.verifier, err = NewVerifier(ubm, enroll, 16)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 var sinkScore float64

@@ -1,9 +1,12 @@
 package gmm
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"voiceguard/internal/evidence"
 )
 
 // Model persistence: trained UBMs and ISV session models are expensive to
@@ -32,6 +35,17 @@ func (g *GMM) Save(w io.Writer) error {
 		return fmt.Errorf("gmm: saving model: %w", err)
 	}
 	return nil
+}
+
+// ModelDigest returns the canonical content digest of a GMM — the digest
+// of its persisted form, identical to the "asv/user/<name>" digests an
+// evidence pack records for the same model.
+func ModelDigest(g *GMM) (string, error) {
+	var buf bytes.Buffer
+	if err := g.Save(&buf); err != nil {
+		return "", fmt.Errorf("gmm: digesting model: %w", err)
+	}
+	return evidence.Digest(buf.Bytes()), nil
 }
 
 // LoadGMM reads a model written by Save and validates its shape.

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"voiceguard/internal/evidence"
 )
 
 func TestGMMSaveLoadRoundTrip(t *testing.T) {
@@ -27,6 +29,29 @@ func TestGMMSaveLoadRoundTrip(t *testing.T) {
 		if a, b := g.LogLikelihood(x), loaded.LogLikelihood(x); a != b {
 			t.Fatalf("ll mismatch: %v vs %v", a, b)
 		}
+	}
+}
+
+// TestModelDigestTracksContent pins ModelDigest, the "asv/user/<name>"
+// digest of an evidence pack: equal models digest equally, and moving
+// one mean moves the digest.
+func TestModelDigestTracksContent(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	g := randomGMM(rng, 4, 3, -1)
+	a, err := ModelDigest(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !evidence.ValidDigest(a) {
+		t.Fatalf("malformed digest %q", a)
+	}
+	clone := g.Clone()
+	if b, err := ModelDigest(clone); err != nil || b != a {
+		t.Fatalf("clone digests %q (%v), want %q", b, err, a)
+	}
+	clone.Means[2][1] += 1e-9
+	if c, err := ModelDigest(clone); err != nil || c == a {
+		t.Fatalf("moved mean digests %q (%v), want a digest other than %q", c, err, a)
 	}
 }
 

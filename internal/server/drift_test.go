@@ -2,8 +2,8 @@ package server
 
 // Coverage for the time-aware observability layer: the /debug/drift
 // surface, baseline pinning, drift gauges on /metrics, SLO burn rates,
-// the /healthz ASV section, and the no-allocation contract of the
-// window feed on the decision path.
+// and the no-allocation contract of the window feed on the decision
+// path.
 
 import (
 	"context"
@@ -228,43 +228,6 @@ func TestObserveDecisionAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("window feed allocates %v per decision, want 0", allocs)
-	}
-}
-
-func TestHealthzASVSection(t *testing.T) {
-	// Without the fast ASV path /healthz must not grow an asv section.
-	_, plain := testServer(t)
-	var doc map[string]json.RawMessage
-	getJSON(t, plain.URL+"/healthz", &doc)
-	if _, ok := doc["asv"]; ok {
-		t.Error("asv section present without the fast path")
-	}
-
-	// With the fast path on, the section reports cache state.
-	ts, victim := fastServer(t, WithASVFastPath(), WithASVModelCache(4))
-	session, err := attack.Genuine(victim, attack.Scenario{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	session.ClaimedUser = "carol"
-	if _, err := client.New(ts.URL).Verify(session); err != nil {
-		t.Fatal(err)
-	}
-	var health struct {
-		ASV *asvHealth `json:"asv"`
-	}
-	getJSON(t, ts.URL+"/healthz", &health)
-	if health.ASV == nil {
-		t.Fatal("asv section missing with the fast path on")
-	}
-	if health.ASV.CacheHits+health.ASV.CacheMisses == 0 {
-		t.Error("no cache traffic after a scored verify")
-	}
-	if health.ASV.CacheResidentBytes <= 0 {
-		t.Error("no resident model bytes after a scored verify")
-	}
-	if health.ASV.CacheHitRatio < 0 || health.ASV.CacheHitRatio > 1 {
-		t.Errorf("hit ratio %v outside [0,1]", health.ASV.CacheHitRatio)
 	}
 }
 

@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"voiceguard/internal/attack"
@@ -104,6 +107,84 @@ func TestEnrollEndToEnd(t *testing.T) {
 	if len(res.Response.Stages) != 4 {
 		t.Errorf("stages = %d, want 4", len(res.Response.Stages))
 	}
+}
+
+// TestConcurrentASVVerifyMatchesSerialBitExact runs concurrent verifies
+// through one ASV server: each stage-4 score must equal a serial
+// verify's bit for bit. Under -race it covers the exact scorer's pooled
+// frame scratch and the FFT plan pools that concurrent verifies share.
+func TestConcurrentASVVerifyMatchesSerialBitExact(t *testing.T) {
+	ts, verifier := asvServer(t)
+	rng := rand.New(rand.NewSource(940))
+	victim := speech.RandomProfile("carol", rng)
+	synth, err := speech.NewSynthesizer(victim, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var session []*audio.Signal
+	for k := 0; k < 3; k++ {
+		utt, err := synth.SayDigits("271828")
+		if err != nil {
+			t.Fatal(err)
+		}
+		session = append(session, utt)
+	}
+	if err := verifier.Enroll("carol", [][]*audio.Signal{session}); err != nil {
+		t.Fatal(err)
+	}
+	verifier.Threshold = -100 // stage 4 scores matter here, not verdicts
+	genuine, err := attack.Genuine(victim, attack.Scenario{
+		ClaimedUser: "carol", Passphrase: "271828", Seed: 942,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const concurrency = 8
+	scores := make([]float64, concurrency)
+	errs := make([]error, concurrency)
+	var wg sync.WaitGroup
+	c := client.New(ts.URL)
+	for i := 0; i < concurrency; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := c.Verify(genuine)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			scores[i], errs[i] = speakerIDScore(res)
+		}(i)
+	}
+	wg.Wait()
+
+	serial, err := c.Verify(genuine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := speakerIDScore(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < concurrency; i++ {
+		if errs[i] != nil {
+			t.Fatalf("concurrent verify %d: %v", i, errs[i])
+		}
+		if math.Float64bits(scores[i]) != math.Float64bits(want) {
+			t.Errorf("concurrent verify %d score = %v, want serial %v (bit-exact)", i, scores[i], want)
+		}
+	}
+}
+
+// speakerIDScore digs the identity-stage score out of a verify response.
+func speakerIDScore(res *client.Result) (float64, error) {
+	for _, st := range res.Response.Stages {
+		if st.Stage == core.StageSpeakerID.String() {
+			return st.Score, nil
+		}
+	}
+	return 0, fmt.Errorf("no speaker-id stage in response: %+v", res.Response.Stages)
 }
 
 func TestEnrollWithoutASV(t *testing.T) {

@@ -25,7 +25,6 @@ import (
 
 	"voiceguard/internal/core"
 	"voiceguard/internal/evidence"
-	"voiceguard/internal/gmm"
 	"voiceguard/internal/protocol"
 	"voiceguard/internal/telemetry"
 )
@@ -41,10 +40,6 @@ const (
 	MetricHTTPDuration     = "voiceguard_http_request_duration_seconds"
 	MetricHTTPInflight     = "voiceguard_http_inflight_requests"
 	MetricRequestTooLarge  = "voiceguard_request_too_large_total"
-
-	// ASV fast-path series (registered only when the fast path is on).
-	MetricASVModelCacheEvents = "voiceguard_asv_model_cache_events_total"
-	MetricASVModelCacheBytes  = "voiceguard_asv_model_cache_resident_bytes"
 )
 
 // Server wraps the pipeline behind HTTP.
@@ -83,10 +78,6 @@ type Server struct {
 	retainer      *evidenceRetainer
 	spoolWG       sync.WaitGroup
 
-	// ASV fast path: compiled top-C scoring with a speaker-model cache.
-	asvFast      bool
-	asvCacheSize int
-
 	// Verify outcome counters. Total requests is their sum, so the
 	// Requests == Accepted+Rejected+Errors+DeadlineExceeded+Shed
 	// invariant holds by construction under any interleaving.
@@ -119,10 +110,6 @@ type Server struct {
 	goGCPause         *telemetry.Gauge
 	goGoroutines      *telemetry.Gauge
 	allocsPerDecision *telemetry.Gauge
-
-	// ASV serving-state handles kept for /healthz readiness reporting.
-	asvCache                   *gmm.ModelCache
-	asvCacheHits, asvCacheMiss *telemetry.Counter
 
 	// Streaming listener (stream.go): one TCP connection per
 	// verification session, evaluated incrementally so impersonation
@@ -277,11 +264,6 @@ func New(system *core.System, logger *slog.Logger, opts ...Option) (*Server, err
 	r.SetHelp(MetricStageLatency, "per-stage pipeline latency")
 	s.initStream()
 	s.initObservability()
-	if s.asvFast {
-		if err := s.enableFastASV(); err != nil {
-			return nil, err
-		}
-	}
 	if s.evidenceDebug || s.evidenceDir != "" {
 		s.retainer = newEvidenceRetainer(s.evidenceSize)
 	}
@@ -462,47 +444,12 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// asvHealth reports the fast-ASV serving state on /healthz: model-cache
-// residency and traffic.
-type asvHealth struct {
-	// CacheEntries and CacheResidentBytes describe the compiled
-	// speaker-model LRU.
-	CacheEntries       int   `json:"cache_entries"`
-	CacheResidentBytes int64 `json:"cache_resident_bytes"`
-	// CacheHits/CacheMisses are cumulative; CacheHitRatio is their
-	// derived fraction (0 before any traffic).
-	CacheHits     int64   `json:"cache_hits"`
-	CacheMisses   int64   `json:"cache_misses"`
-	CacheHitRatio float64 `json:"cache_hit_ratio"` // unit: dimensionless
-}
-
 // healthResponse is the /healthz readiness document.
 type healthResponse struct {
 	// Status is "ok" once the pipeline is constructed.
 	Status string `json:"status"`
 	// Stages reports which paper stages are configured on this server.
 	Stages map[string]bool `json:"stages"`
-	// ASV reports the fast-path serving state (absent when the fast ASV
-	// path is off).
-	ASV *asvHealth `json:"asv,omitempty"`
-}
-
-// asvHealthSnapshot builds the /healthz ASV section (nil when the fast
-// path is off).
-func (s *Server) asvHealthSnapshot() *asvHealth {
-	if s.asvCache == nil {
-		return nil
-	}
-	h := &asvHealth{
-		CacheEntries:       s.asvCache.Len(),
-		CacheResidentBytes: s.asvCache.ResidentBytes(),
-		CacheHits:          s.asvCacheHits.Value(),
-		CacheMisses:        s.asvCacheMiss.Value(),
-	}
-	if total := h.CacheHits + h.CacheMisses; total > 0 {
-		h.CacheHitRatio = float64(h.CacheHits) / float64(total)
-	}
-	return h
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -518,7 +465,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			core.StageLoudspeaker.MetricName(): s.system.Speaker != nil,
 			core.StageSpeakerID.MetricName():   s.system.Identity != nil,
 		},
-		ASV: s.asvHealthSnapshot(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
