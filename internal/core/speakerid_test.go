@@ -12,9 +12,7 @@ import (
 
 // TestEnrollWhileVerifyingIsRaceFree enrolls users while another
 // goroutine verifies, as concurrent POST /enroll and /verify do; under
-// -race it fails unless the user maps are synchronized. It then
-// re-enrolls a user and checks that the user's model digest and score
-// both follow the new model.
+// -race it fails unless the user maps are synchronized.
 func TestEnrollWhileVerifyingIsRaceFree(t *testing.T) {
 	for _, backend := range []Backend{BackendGMMUBM, BackendISV} {
 		v, err := TrainSpeakerVerifier(buildBackground(t, 2, 910),
@@ -45,6 +43,28 @@ func TestEnrollWhileVerifyingIsRaceFree(t *testing.T) {
 			}
 		}
 		wg.Wait()
+		if _, err := v.ModelDigests(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestFastPathDigestFollowsReenroll pins a user's "asv/user/" digest and
+// exact score to the model enrolled last. The digest is stored with the
+// enrollment, so a re-enrollment must replace both at once: each must
+// equal those of a user enrolled from the new utterances alone.
+func TestFastPathDigestFollowsReenroll(t *testing.T) {
+	for _, backend := range []Backend{BackendGMMUBM, BackendISV} {
+		v, err := TrainSpeakerVerifier(buildBackground(t, 2, 910),
+			SpeakerVerifierConfig{Backend: backend, Components: 4, ISVRank: 2, Seed: 910})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := newTestRand(911)
+		utts := renderUtterances(t, speech.RandomProfile("victim", rng), "4242", 2, rng)
+		if err := v.Enroll("victim", [][]*audio.Signal{utts[:1]}); err != nil {
+			t.Fatal(err)
+		}
 		before, err := v.ModelDigests()
 		if err != nil {
 			t.Fatal(err)
@@ -54,9 +74,6 @@ func TestEnrollWhileVerifyingIsRaceFree(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Re-enrolling replaces the model that both the "asv/user/"
-		// digest and the exact score read: each must equal those of a
-		// user enrolled from the new utterances alone.
 		reenroll := [][]*audio.Signal{utts[1:]}
 		for _, user := range []string{"victim", "fresh"} {
 			if err := v.Enroll(user, reenroll); err != nil {
