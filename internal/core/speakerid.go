@@ -184,13 +184,35 @@ func TrainSpeakerVerifier(background map[string][][]*audio.Signal, cfg SpeakerVe
 }
 
 // Enroll registers a user from enrollment utterances (grouped by session
-// for the ISV back-end; a flat list may be passed as one session).
+// for the ISV back-end; a flat list may be passed as one session). It is
+// BuildEnrollment followed by Register.
 func (v *SpeakerVerifier) Enroll(user string, sessions [][]*audio.Signal) error {
+	m, err := v.BuildEnrollment(user, sessions)
+	if err != nil {
+		return err
+	}
+	v.Register(m)
+	return nil
+}
+
+// UserModel is one user's enrollment model, built but not yet
+// registered.
+type UserModel struct {
+	user string
+	gmm  enrollment
+	isv  *gmm.ISVSpeaker
+}
+
+// BuildEnrollment builds a user's model from enrollment utterances as
+// Enroll does, without registering it. It only reads the trained
+// back-end, so several builds may run at once; Register makes a model
+// live.
+func (v *SpeakerVerifier) BuildEnrollment(user string, sessions [][]*audio.Signal) (*UserModel, error) {
 	if user == "" {
-		return errors.New("core: empty user name")
+		return nil, errors.New("core: empty user name")
 	}
 	if len(sessions) == 0 {
-		return fmt.Errorf("core: no enrollment sessions for %q", user)
+		return nil, fmt.Errorf("core: no enrollment sessions for %q", user)
 	}
 	var all [][]float64
 	var perSession [][][]float64
@@ -199,7 +221,7 @@ func (v *SpeakerVerifier) Enroll(user string, sessions [][]*audio.Signal) error 
 		for _, utt := range sess {
 			f, err := v.extract(utt)
 			if err != nil {
-				return fmt.Errorf("core: extracting enrollment features for %q: %w", user, err)
+				return nil, fmt.Errorf("core: extracting enrollment features for %q: %w", user, err)
 			}
 			all = append(all, f...)
 			sessFrames = append(sessFrames, f...)
@@ -208,29 +230,36 @@ func (v *SpeakerVerifier) Enroll(user string, sessions [][]*audio.Signal) error 
 			perSession = append(perSession, sessFrames)
 		}
 	}
+	m := &UserModel{user: user}
 	switch v.backend {
 	case BackendISV:
 		spk, err := v.isv.Enroll(perSession)
 		if err != nil {
-			return fmt.Errorf("core: ISV enrollment for %q: %w", user, err)
+			return nil, fmt.Errorf("core: ISV enrollment for %q: %w", user, err)
 		}
-		v.usersMu.Lock()
-		v.isvUsers[user] = spk
-		v.usersMu.Unlock()
+		m.isv = spk
 	default:
 		ver, err := gmm.NewVerifier(v.ubm, all, v.relevance)
 		if err != nil {
-			return fmt.Errorf("core: GMM enrollment for %q: %w", user, err)
+			return nil, fmt.Errorf("core: GMM enrollment for %q: %w", user, err)
 		}
-		e, err := newEnrollment(user, ver)
-		if err != nil {
-			return err
+		if m.gmm, err = newEnrollment(user, ver); err != nil {
+			return nil, err
 		}
-		v.usersMu.Lock()
-		v.users[user] = e
-		v.usersMu.Unlock()
 	}
-	return nil
+	return m, nil
+}
+
+// Register makes a built model its user's live enrollment, replacing
+// any earlier one.
+func (v *SpeakerVerifier) Register(m *UserModel) {
+	v.usersMu.Lock()
+	defer v.usersMu.Unlock()
+	if m.isv != nil {
+		v.isvUsers[m.user] = m.isv
+		return
+	}
+	v.users[m.user] = m.gmm
 }
 
 // Score returns the back-end score of an utterance against a user.

@@ -22,6 +22,7 @@ import (
 	"voiceguard/internal/audio"
 	"voiceguard/internal/core"
 	"voiceguard/internal/evidence"
+	"voiceguard/internal/parallel"
 	"voiceguard/internal/protocol"
 	"voiceguard/internal/speech"
 )
@@ -72,39 +73,62 @@ func TrainASV(p *evidence.ASVProvenance) (*core.SpeakerVerifier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rebuild: training ASV: %w", err)
 	}
-	for _, e := range p.Enroll {
-		if err := Enroll(verifier, e); err != nil {
-			return nil, err
+	// Each entry draws from its own seeded source, so the models build
+	// in parallel; they register in recipe order, so a user named twice
+	// keeps the later entry, and the first failing entry's error is the
+	// one returned, as from a serial enrollment loop.
+	models := make([]*core.UserModel, len(p.Enroll))
+	errs := make([]error, len(p.Enroll))
+	parallel.For(len(p.Enroll), func(i int) {
+		models[i], errs[i] = buildEnrollment(verifier, p.Enroll[i])
+	})
+	for i, m := range models {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
+		verifier.Register(m)
 	}
 	return verifier, nil
 }
 
-// Enroll registers one user from an enrollment recipe. One seeded source
+// Enroll registers one user from an enrollment recipe: the serial form
+// of one TrainASV entry.
+func Enroll(v *core.SpeakerVerifier, e evidence.EnrollProvenance) error {
+	m, err := buildEnrollment(v, e)
+	if err != nil {
+		return err
+	}
+	v.Register(m)
+	return nil
+}
+
+// buildEnrollment synthesizes an enrollment recipe's utterances and
+// builds the user's model without registering it. One seeded source
 // drives both the profile draw and the synthesizer, so the recipe alone
 // pins the enrollment audio bit-for-bit.
-func Enroll(v *core.SpeakerVerifier, e evidence.EnrollProvenance) error {
+func buildEnrollment(v *core.SpeakerVerifier, e evidence.EnrollProvenance) (*core.UserModel, error) {
 	if e.Utterances <= 0 {
-		return fmt.Errorf("rebuild: enroll recipe for %q has no utterances", e.User)
+		return nil, fmt.Errorf("rebuild: enroll recipe for %q has no utterances", e.User)
 	}
 	rng := rand.New(rand.NewSource(e.Seed))
 	profile := speech.RandomProfile(e.User, rng)
 	synth, err := speech.NewSynthesizer(profile, rng)
 	if err != nil {
-		return fmt.Errorf("rebuild: building synthesizer for %q: %w", e.User, err)
+		return nil, fmt.Errorf("rebuild: building synthesizer for %q: %w", e.User, err)
 	}
 	var session []*audio.Signal
 	for k := 0; k < e.Utterances; k++ {
 		utt, err := synth.SayDigits(e.Passphrase)
 		if err != nil {
-			return fmt.Errorf("rebuild: synthesizing enrollment for %q: %w", e.User, err)
+			return nil, fmt.Errorf("rebuild: synthesizing enrollment for %q: %w", e.User, err)
 		}
 		session = append(session, utt)
 	}
-	if err := v.Enroll(e.User, [][]*audio.Signal{session}); err != nil {
-		return fmt.Errorf("rebuild: enrolling %q: %w", e.User, err)
+	m, err := v.BuildEnrollment(e.User, [][]*audio.Signal{session})
+	if err != nil {
+		return nil, fmt.Errorf("rebuild: enrolling %q: %w", e.User, err)
 	}
-	return nil
+	return m, nil
 }
 
 // System constructs the full pipeline a provenance recipe describes:

@@ -3,6 +3,7 @@ package rebuild
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -210,6 +211,104 @@ func TestSystemRefusesShortlistRecipe(t *testing.T) {
 	for _, want := range []string{"fast_top_c", "no shortlist scorer"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("refusal %q does not mention %q", err, want)
+		}
+	}
+}
+
+// smallASV is a quick ASV recipe: a small background roster, with the
+// given enrollments.
+func smallASV(enroll ...evidence.EnrollProvenance) *evidence.ASVProvenance {
+	return &evidence.ASVProvenance{Seed: 3, Roster: 4, Sessions: 1, Utterances: 2, Digits: 6, Enroll: enroll}
+}
+
+// TestTrainASVMatchesSerialEnroll holds TrainASV to enrolling the
+// recipe's entries one after another in recipe order: a user the recipe
+// names twice ends up with the later entry's model.
+func TestTrainASVMatchesSerialEnroll(t *testing.T) {
+	entry := func(user string, seed int64) evidence.EnrollProvenance {
+		return evidence.EnrollProvenance{User: user, Seed: seed, Passphrase: "472913", Utterances: 2}
+	}
+	// Enough entries that parallel.For fans them out, with alice's two
+	// entries at opposite ends, in different blocks at any worker count.
+	recipe := smallASV(entry("alice", 11))
+	for u := 1; u < 9; u++ {
+		recipe.Enroll = append(recipe.Enroll, entry(fmt.Sprintf("user%d", u), 11+int64(u)))
+	}
+	recipe.Enroll = append(recipe.Enroll, entry("alice", 20))
+	got, err := TrainASV(recipe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := TrainASV(smallASV())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range recipe.Enroll {
+		if err := Enroll(serial, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := TrainASV(smallASV(entry("alice", 11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotD, err := got.ModelDigests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantD, err := serial.ModelDigests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstD, err := first.ModelDigests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotD) != len(wantD) {
+		t.Fatalf("TrainASV digests %d models, serial enrollment %d", len(gotD), len(wantD))
+	}
+	for k, v := range wantD {
+		if gotD[k] != v {
+			t.Errorf("%s: TrainASV %s, serial enrollment %s", k, gotD[k], v)
+		}
+	}
+	if gotD["asv/user/alice"] == firstD["asv/user/alice"] {
+		t.Error("alice kept her first entry's model; the later entry must win")
+	}
+}
+
+// TestTrainASVReturnsFirstFailure pins the error of a recipe with two
+// failing entries to the earlier entry's, as a serial enrollment loop
+// stopping at the first failure returns it.
+func TestTrainASVReturnsFirstFailure(t *testing.T) {
+	recipe := smallASV()
+	for u := 0; u < 10; u++ {
+		recipe.Enroll = append(recipe.Enroll, evidence.EnrollProvenance{
+			User: fmt.Sprintf("user%d", u), Seed: 11 + int64(u), Passphrase: "472913", Utterances: 2,
+		})
+	}
+	recipe.Enroll[3].User, recipe.Enroll[3].Utterances = "first-bad", 0
+	recipe.Enroll[8].User, recipe.Enroll[8].Utterances = "second-bad", 0
+	v, err := TrainASV(recipe)
+	if err == nil {
+		t.Fatalf("TrainASV enrolled a recipe with failing entries: %v", v)
+	}
+	if v != nil {
+		t.Errorf("TrainASV returned a verifier %v with its error", v)
+	}
+	if !strings.Contains(err.Error(), `"first-bad"`) || strings.Contains(err.Error(), "second-bad") {
+		t.Errorf("error %q is not the first failing entry's", err)
+	}
+}
+
+// BenchmarkTrainASV times the identity stage's set-up from the bench's
+// recipe: background roster synthesis, UBM training and 16 enrollments.
+func BenchmarkTrainASV(b *testing.B) {
+	recipe := goldenProvenance().ASV
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainASV(recipe); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

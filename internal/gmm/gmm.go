@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"voiceguard/internal/parallel"
@@ -96,31 +97,20 @@ func Train(data [][]float64, cfg TrainConfig) (*GMM, error) {
 	tile := newRespTile(len(data), cfg.Components)
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		// E-step accumulators. Responsibilities are computed tile by tile
-		// with the per-frame posteriors fanned out across cores, then
-		// accumulated serially in frame order — bit-identical to the
-		// fully serial loop regardless of worker count.
+		// with the frames fanned out across cores, then accumulated with
+		// the components fanned out, each summing its frames in order —
+		// bit-identical to the fully serial loop regardless of worker
+		// count.
 		n := make([]float64, cfg.Components)
 		sum := newMatrix(cfg.Components, dim)
 		sqsum := newMatrix(cfg.Components, dim)
 		var total float64
 		for base := 0; base < len(data); base += tile.size() {
 			cnt := tile.compute(g, data, base)
-			for i := 0; i < cnt; i++ {
-				total += tile.ll[i]
-				resp := tile.resp[i]
-				x := data[base+i]
-				for k := 0; k < cfg.Components; k++ {
-					r := resp[k]
-					if stats.IsZero(r) {
-						continue
-					}
-					n[k] += r
-					for d, v := range x {
-						sum[k][d] += r * v
-						sqsum[k][d] += r * v * v
-					}
-				}
+			for _, ll := range tile.ll[:cnt] {
+				total += ll
 			}
+			tile.accumulate(data[base:base+cnt], n, sum, sqsum)
 		}
 		// M-step.
 		for k := 0; k < cfg.Components; k++ {
@@ -158,7 +148,11 @@ func Train(data [][]float64, cfg TrainConfig) (*GMM, error) {
 }
 
 // kmeansInit runs a few iterations of k-means and converts the result to
-// an initial mixture.
+// an initial mixture. The per-frame distance updates and assignments fan
+// out over frames, and the center and variance sums over components,
+// each summing its frames in order; the RNG draws and the k-means++
+// total stay serial, so the mixture and the draws are bit-identical to
+// the serial loops at any worker count.
 func kmeansInit(data [][]float64, k int, rng *rand.Rand) *GMM {
 	dim := len(data[0])
 	centers := newMatrix(k, dim)
@@ -167,9 +161,9 @@ func kmeansInit(data [][]float64, k int, rng *rand.Rand) *GMM {
 	// classic local optimum of two seeds landing in one cluster.
 	copy(centers[0], data[rng.Intn(len(data))])
 	minD := make([]float64, len(data))
-	for i, x := range data {
-		minD[i] = sqDist(x, centers[0])
-	}
+	parallel.For(len(data), func(i int) {
+		minD[i] = sqDist(data[i], centers[0])
+	})
 	for c := 1; c < k; c++ {
 		var total float64
 		for _, d := range minD {
@@ -189,38 +183,35 @@ func kmeansInit(data [][]float64, k int, rng *rand.Rand) *GMM {
 			idx = rng.Intn(len(data))
 		}
 		copy(centers[c], data[idx])
-		for i, x := range data {
-			if d := sqDist(x, centers[c]); d < minD[i] {
+		parallel.For(len(data), func(i int) {
+			if d := sqDist(data[i], centers[c]); d < minD[i] {
 				minD[i] = d
 			}
-		}
+		})
 	}
 	assign := make([]int, len(data))
+	nearest := make([]int, len(data))
+	counts := make([]int, k)
 	for iter := 0; iter < 10; iter++ {
-		changed := false
-		for i, x := range data {
+		parallel.For(len(data), func(i int) {
 			best, bestD := 0, math.Inf(1)
 			for c := 0; c < k; c++ {
-				d := sqDist(x, centers[c])
+				d := sqDist(data[i], centers[c])
 				if d < bestD {
 					bestD = d
 					best = c
 				}
 			}
-			if assign[i] != best {
-				assign[i] = best
-				changed = true
-			}
-		}
-		counts := make([]int, k)
+			nearest[i] = best
+		})
+		changed := !slices.Equal(assign, nearest)
+		assign, nearest = nearest, assign
 		next := newMatrix(k, dim)
-		for i, x := range data {
-			c := assign[i]
-			counts[c]++
+		clusterSums(data, assign, counts, func(c int, x []float64) {
 			for d, v := range x {
 				next[c][d] += v
 			}
-		}
+		})
 		for c := 0; c < k; c++ {
 			if counts[c] == 0 {
 				copy(next[c], data[rng.Intn(len(data))])
@@ -241,15 +232,12 @@ func kmeansInit(data [][]float64, k int, rng *rand.Rand) *GMM {
 		Means:   centers,
 		Vars:    newMatrix(k, dim),
 	}
-	counts := make([]int, k)
-	for i, x := range data {
-		c := assign[i]
-		counts[c]++
+	clusterSums(data, assign, counts, func(c int, x []float64) {
 		for d, v := range x {
 			diff := v - centers[c][d]
 			g.Vars[c][d] += diff * diff
 		}
-	}
+	})
 	for c := 0; c < k; c++ {
 		if counts[c] == 0 {
 			g.Weights[c] = 1e-4
@@ -268,6 +256,22 @@ func kmeansInit(data [][]float64, k int, rng *rand.Rand) *GMM {
 	}
 	normalizeWeights(g.Weights)
 	return g
+}
+
+// clusterSums sets counts[c] to the number of frames assigned to c and
+// calls add(c, x) for each of them. Components fan out in contiguous
+// ranges and each range visits its frames in order, so whatever add
+// sums per component has the serial loop's bits.
+func clusterSums(data [][]float64, assign, counts []int, add func(c int, x []float64)) {
+	parallel.Range(len(counts), func(lo, hi int) {
+		clear(counts[lo:hi])
+		for i, c := range assign {
+			if c >= lo && c < hi {
+				counts[c]++
+				add(c, data[i])
+			}
+		}
+	})
 }
 
 // refreshNorm recomputes the cached per-component constants,
@@ -462,26 +466,63 @@ func (g *GMM) MeanLogLikelihoodSpan(span *telemetry.Span, frames [][]float64) fl
 	return s / float64(len(frames))
 }
 
-// responsibilities fills resp with posterior component probabilities for x
-// and returns log p(x).
-func (g *GMM) responsibilities(x []float64, resp []float64) float64 {
-	k := g.NumComponents()
+// posteriors turns one frame's component log-likelihoods in resp into
+// posterior probabilities in place and returns log p(x).
+func posteriors(resp []float64) float64 {
 	maxv := math.Inf(-1)
-	for c := 0; c < k; c++ {
-		resp[c] = g.componentLogLik(c, x)
-		if resp[c] > maxv {
-			maxv = resp[c]
+	for _, v := range resp {
+		if v > maxv {
+			maxv = v
 		}
 	}
 	var sum float64
-	for c := 0; c < k; c++ {
+	for c := range resp {
 		resp[c] = math.Exp(resp[c] - maxv)
 		sum += resp[c]
 	}
-	for c := 0; c < k; c++ {
+	for c := range resp {
 		resp[c] /= sum
 	}
 	return maxv + math.Log(sum)
+}
+
+// componentLogLiks writes componentLogLik(c, frames[i]) into out[i][c]
+// for every frame and component, with the scalar loop's bits. Where the
+// exact kernel runs, whole groups of mahaLanes frames go through
+// mahaSweep as in logLikelihoods; the remaining frames, and every frame
+// elsewhere, go through componentLogLik. Scratch comes from llScratch.
+func (g *GMM) componentLogLiks(frames, out [][]float64) {
+	i := 0
+	if exactKernel && len(frames) >= mahaLanes && g.kernelShape() {
+		k, dim := g.NumComponents(), g.Dim()
+		need := mahaLanes * (dim + k)
+		bp, _ := llScratch.Get().(*[]float64)
+		if bp == nil || cap(*bp) < need {
+			s := make([]float64, need)
+			bp = &s
+		}
+		xt, maha := (*bp)[:mahaLanes*dim], (*bp)[mahaLanes*dim:need]
+		for ; i+mahaLanes <= len(frames); i += mahaLanes {
+			group := frames[i : i+mahaLanes]
+			if !interleave(xt, group) {
+				break
+			}
+			mahaSweep(xt, g.Means, g.Vars, maha)
+			for j := range group {
+				row := out[i+j]
+				for c := range row {
+					row[c] = g.logConst[c] - 0.5*maha[c*mahaLanes+j]
+				}
+			}
+		}
+		llScratch.Put(bp)
+	}
+	for ; i < len(frames); i++ {
+		row := out[i]
+		for c := range row {
+			row[c] = g.componentLogLik(c, frames[i])
+		}
+	}
 }
 
 // respTileFrames bounds the scratch footprint of a tiled E-step: posteriors
@@ -490,9 +531,10 @@ const respTileFrames = 512
 
 // respTile is a reusable block of per-frame responsibilities and frame
 // log-likelihoods. compute fans the posterior evaluation for one tile of
-// frames out across cores; the caller then accumulates the tile serially
-// in frame order, which keeps the overall reduction bit-identical to a
-// fully serial E-step.
+// frames out across cores; accumulate then fans the tile's Baum–Welch
+// sums out across components, each summing the tile's frames in order,
+// which keeps the overall reduction bit-identical to a fully serial
+// E-step.
 type respTile struct {
 	resp [][]float64
 	ll   []float64
@@ -517,11 +559,44 @@ func (t *respTile) compute(g *GMM, data [][]float64, base int) int {
 	}
 	g.ensureNorm()
 	parallel.Range(cnt, func(lo, hi int) {
+		g.componentLogLiks(data[base+lo:base+hi], t.resp[lo:hi])
 		for i := lo; i < hi; i++ {
-			t.ll[i] = g.responsibilities(data[base+i], t.resp[i])
+			t.ll[i] = posteriors(t.resp[i])
 		}
 	})
 	return cnt
+}
+
+// accumulate adds the posteriors compute left for frames to the Baum–
+// Welch sums: n[c] += r, first[c] += r·x and, unless second is nil,
+// second[c] += r·x². Components fan out in contiguous ranges and each
+// range sums the frames in order, so every sum has the bits of the
+// serial frame-by-frame loop.
+func (t *respTile) accumulate(frames [][]float64, n []float64, first, second [][]float64) {
+	parallel.Range(len(n), func(lo, hi int) {
+		for i, x := range frames {
+			resp := t.resp[i]
+			for c := lo; c < hi; c++ {
+				r := resp[c]
+				if stats.IsZero(r) {
+					continue
+				}
+				n[c] += r
+				f := first[c]
+				if second == nil {
+					for d, v := range x {
+						f[d] += r * v
+					}
+					continue
+				}
+				sq := second[c]
+				for d, v := range x {
+					f[d] += r * v
+					sq[d] += r * v * v
+				}
+			}
+		}
+	})
 }
 
 // Clone returns a deep copy of the model.

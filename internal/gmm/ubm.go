@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"voiceguard/internal/stats"
 	"voiceguard/internal/telemetry"
 )
 
@@ -60,8 +59,9 @@ func MAPAdapt(ubm *GMM, frames [][]float64, relevance float64) (*GMM, error) {
 
 // AccumulateStats computes zeroth-order (n) and first-order (sum) Baum–
 // Welch statistics of frames against the model. Posteriors are computed in
-// parallel tiles and accumulated serially in frame order, so the statistics
-// are bit-identical to a serial pass.
+// parallel tiles and accumulated with the components fanned out, each
+// summing its frames in order, so the statistics are bit-identical to a
+// serial pass.
 func AccumulateStats(g *GMM, frames [][]float64) (n []float64, first [][]float64, err error) {
 	k := g.NumComponents()
 	dim := g.Dim()
@@ -78,20 +78,7 @@ func AccumulateStats(g *GMM, frames [][]float64) (n []float64, first [][]float64
 	tile := newRespTile(len(frames), k)
 	for base := 0; base < len(frames); base += tile.size() {
 		cnt := tile.compute(g, frames, base)
-		for i := 0; i < cnt; i++ {
-			resp := tile.resp[i]
-			x := frames[base+i]
-			for c := 0; c < k; c++ {
-				r := resp[c]
-				if stats.IsZero(r) {
-					continue
-				}
-				n[c] += r
-				for d, v := range x {
-					first[c][d] += r * v
-				}
-			}
-		}
+		tile.accumulate(frames[base:base+cnt], n, first, nil)
 	}
 	return n, first, nil
 }

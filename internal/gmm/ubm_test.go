@@ -161,3 +161,17 @@ func TestAccumulateStatsTotals(t *testing.T) {
 		t.Errorf("first-order x sum %v, want %v", gotX, wantX)
 	}
 }
+
+// BenchmarkTrainUBM times UBM training in the identity stage's shape: a
+// 32-component mixture fitted to the MFCC fixture's 40-dim frames, k-means
+// initialization and EM included.
+func BenchmarkTrainUBM(b *testing.B) {
+	pool := loadMFCCFixture(b).pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainUBM(pool, TrainConfig{Components: 32, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

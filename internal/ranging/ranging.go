@@ -128,7 +128,12 @@ func DefaultChannel() ChannelConfig {
 
 // Simulate renders the microphone capture while the phone-to-head
 // distance follows dist(t) (meters) over the given duration. The echo
-// travels the round trip 2·dist(t).
+// travels the round trip 2·dist(t). The noiseless leak, echo and
+// multipath sum is computed in parallel sample blocks, so dist is called
+// from several goroutines at once and must be pure: a function of t
+// alone, with no state it writes. The seeded noise is then added in one
+// serial pass in sample order, so the RNG stream and every sample have
+// the bits of a serial loop at any worker count.
 // unit: duration s
 func Simulate(cfg ChannelConfig, duration float64, dist func(t float64) float64, rng *rand.Rand) (*audio.Signal, error) {
 	if cfg.Freq <= 0 || cfg.Rate <= 0 {
@@ -145,18 +150,22 @@ func Simulate(cfg ChannelConfig, duration float64, dist func(t float64) float64,
 	// Fixed multipath delay off a nearby room surface.
 	const reflectorMeters = 0.5
 	mpPhase := w * (2 * reflectorMeters / SpeedOfSound)
-	for i := range s.Samples {
-		t := float64(i) / cfg.Rate
-		v := cfg.LeakGain * math.Sin(w*t)
-		d := dist(t)
-		v += cfg.EchoGain * math.Sin(w*(t-2*d/SpeedOfSound))
-		if cfg.MultipathGain > 0 {
-			v += cfg.MultipathGain * math.Sin(w*t-mpPhase)
+	parallel.Range(len(s.Samples), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t := float64(i) / cfg.Rate
+			v := cfg.LeakGain * math.Sin(w*t)
+			d := dist(t)
+			v += cfg.EchoGain * math.Sin(w*(t-2*d/SpeedOfSound))
+			if cfg.MultipathGain > 0 {
+				v += cfg.MultipathGain * math.Sin(w*t-mpPhase)
+			}
+			s.Samples[i] = v
 		}
-		if cfg.NoiseRMS > 0 && rng != nil {
-			v += rng.NormFloat64() * cfg.NoiseRMS
+	})
+	if cfg.NoiseRMS > 0 && rng != nil {
+		for i := range s.Samples {
+			s.Samples[i] += rng.NormFloat64() * cfg.NoiseRMS
 		}
-		s.Samples[i] = v
 	}
 	return s, nil
 }

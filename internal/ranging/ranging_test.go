@@ -654,3 +654,73 @@ func BenchmarkRecoverMiss(b *testing.B) {
 		}
 	}
 }
+
+// legacySimulate is Simulate's serial loop, kept as the oracle for its
+// block-parallel form: every sample sums leak, echo, multipath and noise
+// in this order, and the noise draws run in sample order.
+func legacySimulate(cfg ChannelConfig, duration float64, dist func(t float64) float64, rng *rand.Rand) *audio.Signal {
+	s := audio.NewSignal(duration, cfg.Rate)
+	w := 2 * math.Pi * cfg.Freq
+	const reflectorMeters = 0.5
+	mpPhase := w * (2 * reflectorMeters / SpeedOfSound)
+	for i := range s.Samples {
+		t := float64(i) / cfg.Rate
+		v := cfg.LeakGain * math.Sin(w*t)
+		d := dist(t)
+		v += cfg.EchoGain * math.Sin(w*(t-2*d/SpeedOfSound))
+		if cfg.MultipathGain > 0 {
+			v += cfg.MultipathGain * math.Sin(w*t-mpPhase)
+		}
+		if cfg.NoiseRMS > 0 && rng != nil {
+			v += rng.NormFloat64() * cfg.NoiseRMS
+		}
+		s.Samples[i] = v
+	}
+	return s
+}
+
+// TestSimulateMatchesSerialLoop holds Simulate to legacySimulate's bits
+// on every sample, with noise on and off, without an RNG and without
+// multipath, and checks that both leave the RNG at the same point.
+func TestSimulateMatchesSerialLoop(t *testing.T) {
+	dist := func(t float64) float64 { return 0.06 + 0.03*math.Sin(2*math.Pi*1.3*t) }
+	noiseless := DefaultChannel()
+	noiseless.NoiseRMS = 0
+	direct := DefaultChannel()
+	direct.MultipathGain = 0
+	cases := []struct {
+		name  string
+		cfg   ChannelConfig
+		noRNG bool
+	}{
+		{name: "noise", cfg: DefaultChannel()},
+		{name: "no-noise", cfg: noiseless},
+		{name: "nil-rng", cfg: DefaultChannel(), noRNG: true},
+		{name: "no-multipath", cfg: direct},
+	}
+	for _, c := range cases {
+		for _, duration := range []float64{1e-4, 0.0137, 1.5} {
+			var got, gotRNG, wantRNG *rand.Rand
+			if !c.noRNG {
+				gotRNG, wantRNG = rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+				got = gotRNG
+			}
+			s, err := Simulate(c.cfg, duration, dist, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := legacySimulate(c.cfg, duration, dist, wantRNG)
+			if len(s.Samples) != len(want.Samples) {
+				t.Fatalf("%s/%v: %d samples, want %d", c.name, duration, len(s.Samples), len(want.Samples))
+			}
+			for i, v := range s.Samples {
+				if math.Float64bits(v) != math.Float64bits(want.Samples[i]) {
+					t.Fatalf("%s/%v: sample %d = %v, serial loop %v", c.name, duration, i, v, want.Samples[i])
+				}
+			}
+			if !c.noRNG && gotRNG.Int63() != wantRNG.Int63() {
+				t.Errorf("%s/%v: Simulate left the RNG at a different point", c.name, duration)
+			}
+		}
+	}
+}

@@ -28,7 +28,9 @@ type GestureConfig struct {
 	// ranging.DefaultChannel.
 	Channel ranging.ChannelConfig
 	// EchoDist overrides the echo path distance function; nil uses the
-	// true phone→source distance of the use case.
+	// true phone→source distance of the use case. ranging.Simulate calls
+	// it from several goroutines at once, so it must be pure: a function
+	// of t alone, with no state it writes.
 	EchoDist func(t float64) float64
 	// MagOffset is how far the magnetometer sits ahead of the phone
 	// center toward the source, in meters. On the paper's test phones
