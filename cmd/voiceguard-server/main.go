@@ -59,14 +59,11 @@ type config struct {
 	maxInflight   int
 	evidenceOn    bool
 	evidenceDir   string
-	evidenceKeep  int
 
 	drift          bool
-	driftAlertPSI  float64 // unit: dimensionless
 	sloAvail       float64 // unit: dimensionless
 	sloLatency     float64 // unit: dimensionless
 	sloLatencyGood time.Duration
-	stageResources bool
 }
 
 func main() {
@@ -86,13 +83,10 @@ func main() {
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "concurrent verification cap; excess requests are shed with 429 (0 = unbounded)")
 	flag.BoolVar(&cfg.evidenceOn, "evidence", false, "mount GET /debug/evidence/{trace_id} serving per-decision evidence packs (they embed session audio unless ?redact=digests)")
 	flag.StringVar(&cfg.evidenceDir, "evidence-dir", "", "spool an evidence pack into this directory for every rejected decision")
-	flag.IntVar(&cfg.evidenceKeep, "evidence-retention", 0, "evidence session retention ring capacity (0 = default)")
 	flag.BoolVar(&cfg.drift, "drift", true, "mount the GET /debug/drift aggregate drift/SLO report (windows are always fed)")
-	flag.Float64Var(&cfg.driftAlertPSI, "drift-alert-psi", 0, "PSI above which a drift series alerts (0 = default 0.25)")
 	flag.Float64Var(&cfg.sloAvail, "slo-availability", 0, "availability objective, e.g. 0.999 (0 disables the availability SLO)")
 	flag.Float64Var(&cfg.sloLatency, "slo-latency", 0, "latency objective, e.g. 0.99 (0 disables the latency SLO)")
 	flag.DurationVar(&cfg.sloLatencyGood, "slo-latency-threshold", time.Second, "latency at or under which a decided verify counts as good for -slo-latency")
-	flag.BoolVar(&cfg.stageResources, "stage-resources", false, "attribute per-stage thread CPU time (voiceguard_stage_cpu_seconds_total; costs one thread pin per stage)")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -140,18 +134,9 @@ func run(ctx context.Context, cfg config, logger *slog.Logger) error {
 	if cfg.evidenceDir != "" {
 		opts = append(opts, server.WithEvidenceDir(cfg.evidenceDir))
 	}
-	if cfg.evidenceKeep > 0 {
-		opts = append(opts, server.WithEvidenceRetention(cfg.evidenceKeep))
-	}
 	opts = append(opts, server.WithDriftEndpoint(cfg.drift))
-	if cfg.driftAlertPSI > 0 {
-		opts = append(opts, server.WithDriftAlertPSI(cfg.driftAlertPSI))
-	}
 	if cfg.sloAvail > 0 || cfg.sloLatency > 0 {
 		opts = append(opts, server.WithSLO(cfg.sloAvail, cfg.sloLatency, cfg.sloLatencyGood))
-	}
-	if cfg.stageResources {
-		opts = append(opts, server.WithStageResources())
 	}
 	if cfg.streamFrameTO > 0 {
 		opts = append(opts, server.WithStreamFrameTimeout(cfg.streamFrameTO))

@@ -1,6 +1,6 @@
 // Command voiceguard-top renders a refreshing terminal view of a running
 // verification server: outcome and stage-latency summaries scraped from
-// /metrics, and drift scores, SLO burn rates and resource attribution
+// /metrics, and drift scores, SLO burn rates and process resources
 // from /debug/drift — the at-a-glance answer to "is the fleet healthy
 // and has the evidence distribution moved".
 //
@@ -137,7 +137,6 @@ type metricsView struct {
 	inflight   float64
 	stageSum   map[string]float64 // stage → latency seconds sum
 	stageCount map[string]float64
-	stageCPU   map[string]float64
 	goHeap     float64
 	goGC       float64
 	goRoutines float64
@@ -148,7 +147,6 @@ func buildView(samples []promSample) metricsView {
 		outcomes:   map[string]float64{},
 		stageSum:   map[string]float64{},
 		stageCount: map[string]float64{},
-		stageCPU:   map[string]float64{},
 	}
 	for _, s := range samples {
 		switch s.name {
@@ -160,8 +158,6 @@ func buildView(samples []promSample) metricsView {
 			v.stageSum[s.labels["stage"]] += s.value
 		case "voiceguard_stage_latency_seconds_count":
 			v.stageCount[s.labels["stage"]] += s.value
-		case "voiceguard_stage_cpu_seconds_total":
-			v.stageCPU[s.labels["stage"]] += s.value
 		case "voiceguard_go_heap_bytes":
 			v.goHeap = s.value
 		case "voiceguard_go_gc_pause_us":
@@ -196,7 +192,7 @@ func render(ctx context.Context, c *client.Client, timeline int) (string, error)
 		bytesHuman(view.goHeap), view.goRoutines,
 		durHuman(view.goGC/1e6), bytesHuman(rep.Resources.AllocPerDecisionBytes))
 
-	b.WriteString("stage             mean latency    cpu total\n")
+	b.WriteString("stage             mean latency\n")
 	stages := make([]string, 0, len(view.stageCount))
 	for st := range view.stageCount {
 		stages = append(stages, st)
@@ -207,11 +203,7 @@ func render(ctx context.Context, c *client.Client, timeline int) (string, error)
 		if n := view.stageCount[st]; n > 0 {
 			mean = view.stageSum[st] / n
 		}
-		cpu := "-"
-		if c, ok := view.stageCPU[st]; ok {
-			cpu = durHuman(c)
-		}
-		fmt.Fprintf(&b, "  %-14s  %12s  %11s\n", st, durHuman(mean), cpu)
+		fmt.Fprintf(&b, "  %-14s  %12s\n", st, durHuman(mean))
 	}
 
 	fmt.Fprintf(&b, "\ndrift (live %s vs baseline%s, alert PSI > %.2f)\n",

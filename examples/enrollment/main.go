@@ -158,19 +158,5 @@ func backgroundCorpus(seed int64) (map[string][][]*audio.Signal, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][][]*audio.Signal)
-	for spk, us := range speech.BySpeaker(utts) {
-		perSession := map[int][]*audio.Signal{}
-		maxSess := 0
-		for _, u := range us {
-			perSession[u.Session] = append(perSession[u.Session], u.Audio)
-			if u.Session > maxSess {
-				maxSess = u.Session
-			}
-		}
-		for s := 0; s <= maxSess; s++ {
-			out[spk] = append(out[spk], perSession[s])
-		}
-	}
-	return out, nil
+	return speech.BySpeakerSession(utts), nil
 }

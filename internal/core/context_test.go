@@ -162,12 +162,14 @@ func TestVerifyContextAbandonedStageNeverRejects(t *testing.T) {
 	session := genuineSessionFor(t, victim, "135792", 25)
 	// The hook cancels the context from inside the first admitted stage,
 	// so the remaining speculative stages hit a dead context at their
-	// admission checks while the fan-out itself still completes.
-	var cancel context.CancelFunc
-	sys.StageHook = func(ctx context.Context, st Stage) { cancel() }
+	// admission checks while the fan-out itself still completes. Each
+	// iteration's cancel rides in its own context: a stage detached from
+	// an earlier iteration may still reach the hook while the next runs.
+	type cancelKey struct{}
+	sys.StageHook = func(ctx context.Context, st Stage) { ctx.Value(cancelKey{}).(context.CancelFunc)() }
 	for i := 0; i < 10; i++ {
-		var ctx context.Context
-		ctx, cancel = context.WithCancel(context.Background())
+		ctx, cancel := context.WithCancel(context.Background())
+		ctx = context.WithValue(ctx, cancelKey{}, cancel)
 		d, err := sys.VerifyContext(ctx, "req-race", session)
 		cancel()
 		switch {

@@ -131,9 +131,6 @@ type StageResult struct {
 	Detail string
 	// Elapsed is the stage's processing time for this session.
 	Elapsed time.Duration
-	// CPU is the stage's thread CPU time, recorded only when
-	// SetResourceAttribution(true) is in effect (else zero).
-	CPU time.Duration
 	// Evidence carries the stage's raw measured statistics (unused slots
 	// have an empty Metric).
 	Evidence [maxStageEvidence]EvidenceValue
@@ -152,14 +149,7 @@ type StageResult struct {
 // result, exported through the telemetry histograms) is recorded even
 // when a stage is invoked outside the System cascade. The
 // stageinstrument analyzer in voiceguard-lint enforces this.
-//
-// With SetResourceAttribution(true) the returned closure additionally
-// stamps res.CPU with the stage's thread CPU time (goroutine pinned for
-// the stage's duration); the default path is unchanged.
 func TimeStage(res *StageResult) func() {
-	if resourceAttribution.Load() {
-		return timeStageResources(res)
-	}
 	start := time.Now()
 	return func() { res.Elapsed = time.Since(start) }
 }

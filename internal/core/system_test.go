@@ -20,22 +20,7 @@ func buildBackground(t testing.TB, nSpeakers int, seed int64) map[string][][]*au
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string][][]*audio.Signal)
-	bySpk := speech.BySpeaker(utts)
-	for spk, us := range bySpk {
-		sessions := map[int][]*audio.Signal{}
-		maxSess := 0
-		for _, u := range us {
-			sessions[u.Session] = append(sessions[u.Session], u.Audio)
-			if u.Session > maxSess {
-				maxSess = u.Session
-			}
-		}
-		for s := 0; s <= maxSess; s++ {
-			out[spk] = append(out[spk], sessions[s])
-		}
-	}
-	return out
+	return speech.BySpeakerSession(utts)
 }
 
 func TestSpeakerVerifierGMMSeparates(t *testing.T) {

@@ -55,21 +55,7 @@ func TrainASV(p *evidence.ASVProvenance) (*core.SpeakerVerifier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rebuild: generating background corpus: %w", err)
 	}
-	background := make(map[string][][]*audio.Signal)
-	for spk, us := range speech.BySpeaker(utts) {
-		perSession := map[int][]*audio.Signal{}
-		maxSess := 0
-		for _, u := range us {
-			perSession[u.Session] = append(perSession[u.Session], u.Audio)
-			if u.Session > maxSess {
-				maxSess = u.Session
-			}
-		}
-		for s := 0; s <= maxSess; s++ {
-			background[spk] = append(background[spk], perSession[s])
-		}
-	}
-	verifier, err := core.TrainSpeakerVerifier(background, core.SpeakerVerifierConfig{Seed: p.Seed})
+	verifier, err := core.TrainSpeakerVerifier(speech.BySpeakerSession(utts), core.SpeakerVerifierConfig{Seed: p.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("rebuild: training ASV: %w", err)
 	}

@@ -68,7 +68,7 @@ func runTableICell(backend core.Backend, test int, cfg TableIConfig) (TableIRow,
 	// Background population for the UBM / ISV training (disjoint from
 	// the test panel).
 	bgRoster := speech.NewRoster(8, seed+1)
-	bg, err := corpusSessions(bgRoster, 2, 2, seed+2)
+	bg, err := corpusSessions(bgRoster)
 	if err != nil {
 		return TableIRow{}, err
 	}
@@ -232,35 +232,19 @@ func minFloat(x []float64) float64 {
 	return m
 }
 
-// corpusSessions renders a roster corpus grouped speaker → session →
+// corpusSessions renders a roster's background corpus, two sessions of
+// two six-digit utterances per speaker, grouped speaker → session →
 // utterances, the shape core.TrainSpeakerVerifier consumes.
-func corpusSessions(roster *speech.Roster, sessions, uttsPer int, seed int64) (map[string][][]*audio.Signal, error) {
+func corpusSessions(roster *speech.Roster) (map[string][][]*audio.Signal, error) {
 	utts, err := roster.Generate(speech.CorpusConfig{
-		Sessions:             sessions,
-		UtterancesPerSession: uttsPer,
+		Sessions:             2,
+		UtterancesPerSession: 2,
 		Digits:               6,
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][][]*audio.Signal)
-	for _, grouped := range [][]speech.Utterance{utts} {
-		bySpk := speech.BySpeaker(grouped)
-		for spk, us := range bySpk {
-			perSession := map[int][]*audio.Signal{}
-			maxSess := 0
-			for _, u := range us {
-				perSession[u.Session] = append(perSession[u.Session], u.Audio)
-				if u.Session > maxSess {
-					maxSess = u.Session
-				}
-			}
-			for s := 0; s <= maxSess; s++ {
-				out[spk] = append(out[spk], perSession[s])
-			}
-		}
-	}
-	return out, nil
+	return speech.BySpeakerSession(utts), nil
 }
 
 // renderSessions renders enrollment sessions for a speaker with a fresh

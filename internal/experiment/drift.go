@@ -193,7 +193,7 @@ func RunDriftWave(seed int64) (*DriftWaveResult, error) {
 // waves decide accept and imitation waves decide reject.
 func driftVerifier(seed int64) (*core.SpeakerVerifier, speech.Profile, error) {
 	rng := rand.New(rand.NewSource(seed + 41))
-	bg, err := corpusSessions(speech.NewRoster(6, seed+1), 2, 2, seed+2)
+	bg, err := corpusSessions(speech.NewRoster(6, seed+1))
 	if err != nil {
 		return nil, speech.Profile{}, fmt.Errorf("experiment: drift background: %w", err)
 	}

@@ -3,7 +3,7 @@ package gmm
 import "voiceguard/internal/cpuid"
 
 // exactKernel selects mahaSweep for the exact scoring path
-// (GMM.logLikelihoods). It needs AVX2.
+// (GMM.componentRows). It needs AVX2.
 var exactKernel = cpuid.AVX2
 
 // mahaSweep writes out[c·mahaLanes+j] = Σ_d (x_j[d]−means[c][d])²/vars[c][d]

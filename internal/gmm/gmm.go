@@ -340,14 +340,21 @@ func logSumExp(v []float64) float64 {
 }
 
 // logLikelihoods writes log p(x) of each frame into lls, with the bits
-// logLikelihoodInto gives frame by frame. Where the exact kernel runs
-// (exactKernel), whole groups of mahaLanes frames of the model's
-// dimension are interleaved into scratch and mahaSweep forms every
-// component's Mahalanobis sum for the group at once, summing each lane
-// in componentLogLik's order; the remaining frames, and every frame
-// elsewhere, go through componentLogLik. Scratch, k + mahaLanes·(dim+k)
-// float64s, comes from llScratch.
+// logLikelihoodInto gives frame by frame.
 func (g *GMM) logLikelihoods(frames [][]float64, lls []float64) {
+	g.componentRows(frames, func(i int, row []float64) { lls[i] = logSumExp(row) })
+}
+
+// componentRows calls yield(i, row) for each frame in order, with
+// row[c] = componentLogLik(c, frames[i]) to the bit. Where the exact
+// kernel runs (exactKernel), whole groups of mahaLanes frames of the
+// model's dimension are interleaved into scratch and mahaSweep forms
+// every component's Mahalanobis sum for the group at once, summing each
+// lane in componentLogLik's order; the remaining frames, and every frame
+// elsewhere, go through componentLogLik. row is scratch, valid only
+// until yield returns. Scratch, k + mahaLanes·(dim+k) float64s, comes
+// from llScratch.
+func (g *GMM) componentRows(frames [][]float64, yield func(i int, row []float64)) {
 	k, dim := g.NumComponents(), g.Dim()
 	kernel := exactKernel && len(frames) >= mahaLanes && g.kernelShape()
 	need := k
@@ -360,7 +367,7 @@ func (g *GMM) logLikelihoods(frames [][]float64, lls []float64) {
 		bp = &s
 	}
 	scratch := (*bp)[:need]
-	comp := scratch[:k]
+	row := scratch[:k]
 	i := 0
 	if kernel {
 		xt, maha := scratch[k:k+mahaLanes*dim], scratch[k+mahaLanes*dim:]
@@ -371,22 +378,25 @@ func (g *GMM) logLikelihoods(frames [][]float64, lls []float64) {
 			}
 			mahaSweep(xt, g.Means, g.Vars, maha)
 			for j := range group {
-				for c := range comp {
-					comp[c] = g.logConst[c] - 0.5*maha[c*mahaLanes+j]
+				for c := range row {
+					row[c] = g.logConst[c] - 0.5*maha[c*mahaLanes+j]
 				}
-				lls[i+j] = logSumExp(comp)
+				yield(i+j, row)
 			}
 		}
 	}
 	for ; i < len(frames); i++ {
-		lls[i] = g.logLikelihoodInto(frames[i], comp)
+		for c := range row {
+			row[c] = g.componentLogLik(c, frames[i])
+		}
+		yield(i, row)
 	}
 	llScratch.Put(bp)
 }
 
-// llScratch keeps logLikelihoods' scratch between calls, so warm
-// scoring blocks allocate nothing. Buffers are not cleared: every value
-// logLikelihoods reads, it has written first in the same call.
+// llScratch keeps componentRows' scratch between calls, so warm scoring
+// blocks allocate nothing. Buffers are not cleared: every value
+// componentRows reads, it has written first in the same call.
 var llScratch sync.Pool // *[]float64
 
 // mahaLanes is the number of frames one mahaSweep call scores.
@@ -486,45 +496,6 @@ func posteriors(resp []float64) float64 {
 	return maxv + math.Log(sum)
 }
 
-// componentLogLiks writes componentLogLik(c, frames[i]) into out[i][c]
-// for every frame and component, with the scalar loop's bits. Where the
-// exact kernel runs, whole groups of mahaLanes frames go through
-// mahaSweep as in logLikelihoods; the remaining frames, and every frame
-// elsewhere, go through componentLogLik. Scratch comes from llScratch.
-func (g *GMM) componentLogLiks(frames, out [][]float64) {
-	i := 0
-	if exactKernel && len(frames) >= mahaLanes && g.kernelShape() {
-		k, dim := g.NumComponents(), g.Dim()
-		need := mahaLanes * (dim + k)
-		bp, _ := llScratch.Get().(*[]float64)
-		if bp == nil || cap(*bp) < need {
-			s := make([]float64, need)
-			bp = &s
-		}
-		xt, maha := (*bp)[:mahaLanes*dim], (*bp)[mahaLanes*dim:need]
-		for ; i+mahaLanes <= len(frames); i += mahaLanes {
-			group := frames[i : i+mahaLanes]
-			if !interleave(xt, group) {
-				break
-			}
-			mahaSweep(xt, g.Means, g.Vars, maha)
-			for j := range group {
-				row := out[i+j]
-				for c := range row {
-					row[c] = g.logConst[c] - 0.5*maha[c*mahaLanes+j]
-				}
-			}
-		}
-		llScratch.Put(bp)
-	}
-	for ; i < len(frames); i++ {
-		row := out[i]
-		for c := range row {
-			row[c] = g.componentLogLik(c, frames[i])
-		}
-	}
-}
-
 // respTileFrames bounds the scratch footprint of a tiled E-step: posteriors
 // are computed for at most this many frames at a time.
 const respTileFrames = 512
@@ -559,10 +530,11 @@ func (t *respTile) compute(g *GMM, data [][]float64, base int) int {
 	}
 	g.ensureNorm()
 	parallel.Range(cnt, func(lo, hi int) {
-		g.componentLogLiks(data[base+lo:base+hi], t.resp[lo:hi])
-		for i := lo; i < hi; i++ {
-			t.ll[i] = posteriors(t.resp[i])
-		}
+		resp, ll := t.resp[lo:hi], t.ll[lo:hi]
+		g.componentRows(data[base+lo:base+hi], func(i int, row []float64) {
+			copy(resp[i], row)
+			ll[i] = posteriors(resp[i])
+		})
 	})
 	return cnt
 }

@@ -8,7 +8,7 @@
 //     bit-identical to a serial loop regardless of scheduling, worker
 //     count or GOMAXPROCS. There are no atomics in the reduction path —
 //     callers that need a scalar reduce the per-index results serially.
-//   - Serial fallback. Small inputs (below a per-call threshold) and
+//   - Serial fallback. Small inputs (below a fixed threshold) and
 //     single-CPU processes run the plain loop on the caller's goroutine:
 //     no goroutines, no synchronization, identical results.
 //   - No retained state. The package keeps no worker pool alive between
@@ -28,7 +28,7 @@ import (
 	"sync"
 )
 
-// minParallel is the default smallest n worth forking for. Below this the
+// minParallel is the smallest n worth forking for. Below this the
 // per-goroutine overhead (~1µs each) dominates any conceivable per-item
 // win, so For and Range run serially.
 const minParallel = 8
@@ -56,28 +56,14 @@ func For(n int, fn func(i int)) {
 // of For: callers that need per-worker scratch (a pooled FFT buffer, a
 // responsibility vector) acquire it once per block instead of once per
 // index. fn must treat the blocks as disjoint; Range returns when every
-// block is done.
+// block is done. n below minParallel, or a single-CPU process, runs
+// fn(0, n) on the calling goroutine.
 func Range(n int, fn func(lo, hi int)) {
-	RangeMin(n, minParallel, fn)
-}
-
-// RangeMin is Range with a caller-chosen serial threshold: the fan-out
-// engages only when n ≥ min. Range's default threshold is tuned for
-// per-index work in the microsecond range; paths whose per-index cost is
-// tens of nanoseconds (the compiled GMM scoring kernels) pass a larger
-// min so a short utterance runs serially on the caller's goroutine while
-// a batched scoring pass still spreads across cores. min below the
-// package default is clamped up to it. Results are bit-identical to the
-// serial loop either way.
-func RangeMin(n, min int, fn func(lo, hi int)) {
 	w := Workers()
 	if n <= 0 {
 		return
 	}
-	if min < minParallel {
-		min = minParallel
-	}
-	if w < 2 || n < min {
+	if w < 2 || n < minParallel {
 		fn(0, n)
 		return
 	}
@@ -174,19 +160,4 @@ func DoContext(ctx context.Context, fns ...func()) error {
 			return ctx.Err()
 		}
 	}
-}
-
-// Map applies fn to every element of in and returns the results in input
-// order. fn receives the element index and value; it must be safe to call
-// concurrently for distinct indices. Output ordering is deterministic and
-// identical to the serial loop.
-func Map[T, U any](in []T, fn func(i int, v T) U) []U {
-	if in == nil {
-		return nil
-	}
-	out := make([]U, len(in))
-	For(len(in), func(i int) {
-		out[i] = fn(i, in[i])
-	})
-	return out
 }

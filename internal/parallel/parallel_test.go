@@ -42,64 +42,23 @@ func TestRangeBlocksPartition(t *testing.T) {
 	}
 }
 
-// TestRangeMinThreshold checks the caller-chosen serial threshold: below
-// min the whole range arrives as one block on the calling goroutine, at
-// or above it the blocks still tile [0, n) exactly, and a min below the
-// package default is clamped up to it.
-func TestRangeMinThreshold(t *testing.T) {
-	// n < min: exactly one block, [0, n).
-	var blocks [][2]int
-	RangeMin(100, 256, func(lo, hi int) {
-		blocks = append(blocks, [2]int{lo, hi})
-	})
-	if len(blocks) != 1 || blocks[0] != [2]int{0, 100} {
-		t.Errorf("below-threshold blocks = %v, want one [0, 100)", blocks)
-	}
-	// min below the package default clamps up: n under minParallel stays
-	// serial even with min = 1.
-	blocks = blocks[:0]
-	RangeMin(minParallel-1, 1, func(lo, hi int) {
-		blocks = append(blocks, [2]int{lo, hi})
-	})
-	if len(blocks) != 1 || blocks[0] != [2]int{0, minParallel - 1} {
-		t.Errorf("clamped-min blocks = %v, want one serial block", blocks)
-	}
-	// n ≥ min: blocks tile [0, n) exactly once regardless of scheduling.
-	for _, n := range []int{256, 257, 1000} {
-		covered := make([]int32, n)
-		RangeMin(n, 256, func(lo, hi int) {
-			if lo < 0 || hi > n || lo > hi {
-				t.Errorf("n=%d: bad block [%d, %d)", n, lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&covered[i], 1)
-			}
+// TestRangeSerialFallback checks the serial threshold: below
+// minParallel, and for any n in a single-CPU process, the whole range
+// arrives as one block, [0, n).
+func TestRangeSerialFallback(t *testing.T) {
+	oneBlock := func(n int) {
+		t.Helper()
+		var blocks [][2]int
+		Range(n, func(lo, hi int) {
+			blocks = append(blocks, [2]int{lo, hi})
 		})
-		for i, c := range covered {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d covered %d times", n, i, c)
-			}
+		if len(blocks) != 1 || blocks[0] != [2]int{0, n} {
+			t.Errorf("GOMAXPROCS=%d n=%d: blocks = %v, want one [0, %d)", runtime.GOMAXPROCS(0), n, blocks, n)
 		}
 	}
-}
-
-// TestMapMatchesSerial checks output ordering and bit-identical results
-// against the plain loop.
-func TestMapMatchesSerial(t *testing.T) {
-	in := make([]float64, 513)
-	for i := range in {
-		in[i] = float64(i) * 0.25
-	}
-	sq := func(_ int, v float64) float64 { return v*v + 1 }
-	got := Map(in, sq)
-	for i, v := range in {
-		if want := sq(i, v); got[i] != want { //lint:allow floatcmp bit-identity is the contract under test
-			t.Fatalf("Map[%d] = %v, want %v", i, got[i], want)
-		}
-	}
-	if Map[int, int](nil, func(int, int) int { return 0 }) != nil {
-		t.Error("Map(nil) should be nil")
-	}
+	oneBlock(minParallel - 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	oneBlock(1000)
 }
 
 // TestSmallInputStaysOnCallerGoroutine checks the serial fallback: below

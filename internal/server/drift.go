@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"voiceguard/internal/core"
-	"voiceguard/internal/stats"
 	"voiceguard/internal/telemetry"
 )
 
@@ -27,7 +26,6 @@ const (
 	MetricGoHeapBytes       = "voiceguard_go_heap_bytes"
 	MetricGoGCPauseUS       = "voiceguard_go_gc_pause_us"
 	MetricGoGoroutines      = "voiceguard_go_goroutines"
-	MetricStageCPUSeconds   = "voiceguard_stage_cpu_seconds_total"
 	MetricAllocsPerDecision = "voiceguard_allocs_per_decision_bytes"
 )
 
@@ -78,20 +76,6 @@ func WithDriftEndpoint(enabled bool) Option {
 	return func(s *Server) { s.driftOff = !enabled }
 }
 
-// WithDriftAlertPSI overrides the PSI alert threshold reported on
-// /debug/drift (default DefaultDriftAlertPSI).
-func WithDriftAlertPSI(threshold float64) Option {
-	return func(s *Server) { s.driftAlertPSI = threshold }
-}
-
-// WithStageResources enables per-stage CPU attribution: the cascade's
-// TimeStage closures pin their goroutine and stamp thread-CPU deltas,
-// exported as the voiceguard_stage_cpu_seconds_total family. Costs one
-// LockOSThread + two getrusage calls per stage; off by default.
-func WithStageResources() Option {
-	return func(s *Server) { s.stageResources = true }
-}
-
 // initObservability builds the window set and registers the derived
 // metric families. Called from New after the registry exists.
 func (s *Server) initObservability() {
@@ -105,9 +89,6 @@ func (s *Server) initObservability() {
 	defs := core.EvidenceSeriesDefs()
 	s.windows = telemetry.NewWindowSet(cfg, defs)
 	s.observer = core.NewEvidenceObserver(s.windows)
-	if stats.IsZero(s.driftAlertPSI) {
-		s.driftAlertPSI = DefaultDriftAlertPSI
-	}
 
 	r := s.registry
 	s.driftPSI = make(map[seriesKey]*telemetry.Gauge, len(defs))
@@ -138,15 +119,6 @@ func (s *Server) initObservability() {
 	r.SetHelp(MetricGoGoroutines, "current goroutine count")
 	s.allocsPerDecision = r.Gauge(MetricAllocsPerDecision, nil)
 	r.SetHelp(MetricAllocsPerDecision, "heap bytes allocated per decided verify over the live window")
-
-	if s.stageResources {
-		core.SetResourceAttribution(true)
-		s.stageCPU = make(map[core.Stage]*telemetry.Gauge)
-		for _, st := range core.Stages {
-			s.stageCPU[st] = r.Gauge(MetricStageCPUSeconds, telemetry.Labels{"stage": st.MetricName()})
-		}
-		r.SetHelp(MetricStageCPUSeconds, "cumulative thread CPU seconds attributed to each cascade stage")
-	}
 }
 
 // sloConfigured reports whether any objective is active.
@@ -158,23 +130,6 @@ func (s *Server) sloConfigured() bool {
 // observeOutcome feeds one verify outcome into the rolling windows.
 func (s *Server) observeOutcome(o telemetry.VerifyOutcome, latency time.Duration) {
 	s.windows.ObserveVerify(o, latency)
-}
-
-// observeDecision feeds a decided verify's evidence and stage resources
-// into the windows and CPU gauges. Allocation-free.
-func (s *Server) observeDecision(d *core.Decision) {
-	s.observer.ObserveDecision(d)
-	if s.stageCPU == nil {
-		return
-	}
-	for i := range d.Stages {
-		st := &d.Stages[i]
-		if st.CPU > 0 {
-			if g, ok := s.stageCPU[st.Stage]; ok {
-				g.Add(st.CPU.Seconds())
-			}
-		}
-	}
 }
 
 // refreshObservability recomputes every window-derived gauge. Runs at
@@ -211,7 +166,7 @@ func (s *Server) DriftReport(timeline int) telemetry.DriftReport {
 	rep := telemetry.DriftReport{
 		GeneratedUnix: time.Now().Unix(),
 		LiveWindow:    s.windows.LiveWindow().String(),
-		AlertPSI:      s.driftAlertPSI,
+		AlertPSI:      DefaultDriftAlertPSI,
 	}
 	if b := s.windows.Baseline(); b != nil {
 		rep.BaselinePinnedUnix = b.PinnedUnix
@@ -221,7 +176,7 @@ func (s *Server) DriftReport(timeline int) telemetry.DriftReport {
 		e := telemetry.DriftEntry{
 			Stage: ds.Stage, Metric: ds.Metric,
 			PSI: ds.PSI, KS: ds.KS,
-			Alert:     ds.PSI > s.driftAlertPSI,
+			Alert:     ds.PSI > DefaultDriftAlertPSI,
 			LiveCount: ds.LiveCount, BaselineCount: ds.BaselineCount,
 		}
 		if !isNaN(ds.LiveMean) {

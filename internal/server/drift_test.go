@@ -224,7 +224,7 @@ func TestObserveDecisionAllocationFree(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		srv.observeOutcome(telemetry.OutcomeAccepted, 100*time.Millisecond)
-		srv.observeDecision(&d)
+		srv.observer.ObserveDecision(&d)
 	})
 	if allocs != 0 {
 		t.Errorf("window feed allocates %v per decision, want 0", allocs)

@@ -29,21 +29,7 @@ func asvServer(t *testing.T) (*httptest.Server, *core.SpeakerVerifier) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg := make(map[string][][]*audio.Signal)
-	for spk, us := range speech.BySpeaker(utts) {
-		perSession := map[int][]*audio.Signal{}
-		maxSess := 0
-		for _, u := range us {
-			perSession[u.Session] = append(perSession[u.Session], u.Audio)
-			if u.Session > maxSess {
-				maxSess = u.Session
-			}
-		}
-		for s := 0; s <= maxSess; s++ {
-			bg[spk] = append(bg[spk], perSession[s])
-		}
-	}
-	verifier, err := core.TrainSpeakerVerifier(bg, core.SpeakerVerifierConfig{Components: 8, Seed: 900})
+	verifier, err := core.TrainSpeakerVerifier(speech.BySpeakerSession(utts), core.SpeakerVerifierConfig{Components: 8, Seed: 900})
 	if err != nil {
 		t.Fatal(err)
 	}

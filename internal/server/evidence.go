@@ -29,9 +29,9 @@ import (
 // content digests (the pack then verifies but cannot be replayed).
 const EvidenceRoute = "/debug/evidence/"
 
-// DefEvidenceRetention is the default session retention ring capacity:
-// evidence packs need the raw request, which is ~2 MB a session, so the
-// ring is much smaller than the flight recorder's.
+// DefEvidenceRetention is the session retention ring capacity: evidence
+// packs need the raw request, which is ~2 MB a session, so the ring is
+// much smaller than the flight recorder's.
 const DefEvidenceRetention = 32
 
 // evidenceEntry is one retained verification: everything a pack needs
@@ -53,11 +53,8 @@ type evidenceRetainer struct {
 	seq     uint64
 }
 
-func newEvidenceRetainer(n int) *evidenceRetainer {
-	if n <= 0 {
-		n = DefEvidenceRetention
-	}
-	return &evidenceRetainer{entries: make([]evidenceEntry, 0, n)}
+func newEvidenceRetainer() *evidenceRetainer {
+	return &evidenceRetainer{entries: make([]evidenceEntry, 0, DefEvidenceRetention)}
 }
 
 func (er *evidenceRetainer) add(e evidenceEntry) {
@@ -108,12 +105,6 @@ func WithEvidenceEndpoint() Option {
 // controls.
 func WithEvidenceDir(dir string) Option {
 	return func(s *Server) { s.evidenceDir = dir }
-}
-
-// WithEvidenceRetention sizes the session retention ring backing
-// evidence export (default DefEvidenceRetention).
-func WithEvidenceRetention(n int) Option {
-	return func(s *Server) { s.evidenceSize = n }
 }
 
 // WithEvidenceProvenance embeds the system construction recipe in every

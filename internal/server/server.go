@@ -73,7 +73,6 @@ type Server struct {
 	// Shutdown can drain them.
 	evidenceDebug bool
 	evidenceDir   string
-	evidenceSize  int
 	evidenceProv  *evidence.Provenance
 	retainer      *evidenceRetainer
 	spoolWG       sync.WaitGroup
@@ -100,12 +99,9 @@ type Server struct {
 	slo               telemetry.SLOConfig
 	sloGoodUnder      time.Duration
 	driftOff          bool
-	driftAlertPSI     float64 // unit: dimensionless
-	stageResources    bool
 	driftPSI          map[seriesKey]*telemetry.Gauge
 	driftKS           map[seriesKey]*telemetry.Gauge
 	burnGauges        map[burnKey]*telemetry.Gauge
-	stageCPU          map[core.Stage]*telemetry.Gauge
 	goHeap            *telemetry.Gauge
 	goGCPause         *telemetry.Gauge
 	goGoroutines      *telemetry.Gauge
@@ -139,12 +135,6 @@ type Option func(*Server)
 // /debug/pprof/. Off by default: profiling endpoints expose internals
 // and cost CPU when scraped.
 func WithPprof() Option { return func(s *Server) { s.pprof = true } }
-
-// WithRegistry uses a caller-owned metrics registry instead of a fresh
-// one — lets tests and multi-server processes aggregate.
-func WithRegistry(r *telemetry.Registry) Option {
-	return func(s *Server) { s.registry = r }
-}
 
 // WithMetricsEndpoint toggles the GET /metrics exposition endpoint
 // (enabled by default). Metrics are still collected when disabled; only
@@ -228,12 +218,9 @@ func New(system *core.System, logger *slog.Logger, opts ...Option) (*Server, err
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	s := &Server{system: system, logger: logger}
+	s := &Server{system: system, logger: logger, registry: telemetry.NewRegistry()}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.registry == nil {
-		s.registry = telemetry.NewRegistry()
 	}
 	r := s.registry
 	s.accepted = r.Counter(MetricVerifyTotal, telemetry.Labels{"outcome": "accepted"})
@@ -265,7 +252,7 @@ func New(system *core.System, logger *slog.Logger, opts ...Option) (*Server, err
 	s.initStream()
 	s.initObservability()
 	if s.evidenceDebug || s.evidenceDir != "" {
-		s.retainer = newEvidenceRetainer(s.evidenceSize)
+		s.retainer = newEvidenceRetainer()
 	}
 	if s.evidenceDir != "" {
 		if err := os.MkdirAll(s.evidenceDir, 0o700); err != nil {
@@ -709,7 +696,7 @@ func (s *Server) settle(v *verification, d *core.Decision, err error, errStatus 
 		s.rejected.Inc()
 		s.observeOutcome(telemetry.OutcomeRejected, d.Elapsed)
 	}
-	s.observeDecision(d)
+	s.observer.ObserveDecision(d)
 	if v.req != nil && s.evidenceEnabled() {
 		s.retainEvidence(v.traceID, v.req, *d)
 	}

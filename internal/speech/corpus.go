@@ -191,3 +191,22 @@ func BySpeaker(utts []Utterance) map[string][]Utterance {
 	}
 	return out
 }
+
+// BySpeakerSession groups utterance audio speaker → session →
+// utterances, the shape core.TrainSpeakerVerifier consumes. Each
+// speaker's sessions are indexed 0 through its highest session number,
+// a session it never recorded left nil, and each session keeps its
+// utterances in corpus order. Session numbers must be non-negative, as
+// Roster.Generate writes them.
+func BySpeakerSession(utts []Utterance) map[string][][]*audio.Signal {
+	out := make(map[string][][]*audio.Signal)
+	for _, u := range utts {
+		sessions := out[u.Speaker]
+		for len(sessions) <= u.Session {
+			sessions = append(sessions, nil)
+		}
+		sessions[u.Session] = append(sessions[u.Session], u.Audio)
+		out[u.Speaker] = sessions
+	}
+	return out
+}

@@ -3,6 +3,8 @@ package speech
 import (
 	"math/rand"
 	"testing"
+
+	"voiceguard/internal/audio"
 )
 
 func TestRosterDeterministic(t *testing.T) {
@@ -138,5 +140,27 @@ func TestRandomChannelPlausible(t *testing.T) {
 		if ch.Gain <= 0 || ch.NoiseRMS < 0 || ch.LowCut <= 0 || ch.HighCut <= ch.LowCut {
 			t.Errorf("implausible channel %+v", ch)
 		}
+	}
+}
+
+// TestBySpeakerSessionGroups checks the speaker → session → utterances
+// shape: sessions indexed from 0 to the speaker's highest, a session the
+// speaker never recorded left nil, utterances in corpus order.
+func TestBySpeakerSessionGroups(t *testing.T) {
+	a1first, b2, a0, a1second := &audio.Signal{}, &audio.Signal{}, &audio.Signal{}, &audio.Signal{}
+	got := BySpeakerSession([]Utterance{
+		{Speaker: "a", Session: 1, Audio: a1first},
+		{Speaker: "b", Session: 2, Audio: b2},
+		{Speaker: "a", Session: 0, Audio: a0},
+		{Speaker: "a", Session: 1, Audio: a1second},
+	})
+	if len(got) != 2 {
+		t.Fatalf("speakers = %d, want 2", len(got))
+	}
+	if a := got["a"]; len(a) != 2 || len(a[0]) != 1 || a[0][0] != a0 || len(a[1]) != 2 || a[1][0] != a1first || a[1][1] != a1second {
+		t.Errorf("speaker a sessions = %v", a)
+	}
+	if b := got["b"]; len(b) != 3 || b[0] != nil || b[1] != nil || len(b[2]) != 1 || b[2][0] != b2 {
+		t.Errorf("speaker b sessions = %v", b)
 	}
 }

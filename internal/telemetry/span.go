@@ -186,53 +186,6 @@ func (s *Span) TraceID() string {
 	return s.trace.id
 }
 
-// Traceparent renders the span in the W3C traceparent layout
-// (version-traceid-spanid-flags). Trace IDs that are not 32-hex already
-// are normalized: hex IDs are zero-padded, anything else is hashed.
-func (s *Span) Traceparent() string {
-	if s == nil {
-		return ""
-	}
-	return fmt.Sprintf("00-%s-%s-01", normalizeTraceID(s.trace.id), s.spanID)
-}
-
-// normalizeTraceID maps an arbitrary request ID onto the 32-hex trace-id
-// field of a traceparent: valid hex is left-padded, anything else is
-// FNV-hashed into 16 bytes. Deterministic, so the same request ID always
-// renders the same traceparent.
-func normalizeTraceID(id string) string {
-	if len(id) <= 32 && isHex(id) {
-		pad := "00000000000000000000000000000000"
-		return pad[:32-len(id)] + id
-	}
-	h1 := fnv.New64a()
-	h1.Write([]byte(id))
-	h2 := fnv.New64a()
-	h2.Write([]byte(id))
-	h2.Write([]byte{0xff})
-	var b [16]byte
-	s1, s2 := h1.Sum64(), h2.Sum64()
-	for i := 0; i < 8; i++ {
-		b[i] = byte(s1 >> (8 * i))
-		b[8+i] = byte(s2 >> (8 * i))
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// isHex reports whether s is non-empty lowercase hex.
-func isHex(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // StartSpan opens a child span. It returns nil — still safe to use —
 // when the receiver is nil or the trace hit its span budget; the trace
 // then counts the drop instead of growing without bound.
