@@ -1,8 +1,9 @@
 package main
 
 // -bench-json mode: times the hot-path primitives and the headline
-// experiments in-process and writes machine-readable rows, so CI and the
-// repo can track pipeline latency without parsing `go test -bench` text.
+// experiments in-process, at GOMAXPROCS=1, and writes machine-readable
+// rows, so CI and the repo can track pipeline latency without parsing
+// `go test -bench` text.
 
 import (
 	"bytes"
@@ -219,9 +220,14 @@ func streamLatencyRows(seed int64) ([]benchRow, error) {
 	return rows, nil
 }
 
-// writeBenchJSON runs the suite, writes the rows to path and returns
-// them for an optional baseline comparison.
+// writeBenchJSON runs the suite at GOMAXPROCS=1, writes the rows to
+// path and returns them for an optional baseline comparison. One CPU
+// makes a row's allocation count independent of the host's core count:
+// work fanned out across workers allocates per worker, and the
+// committed baselines (BENCH_pr10.json) are one-CPU runs. The caller's
+// GOMAXPROCS is restored on return.
 func writeBenchJSON(path string, seed int64) ([]benchRow, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rows, err := benchJSONRows(seed)
 	if err != nil {
 		return nil, err

@@ -24,7 +24,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment id (see package doc)")
 	seed := flag.Int64("seed", 1, "base random seed")
-	benchJSON := flag.String("bench-json", "", "write hot-path benchmark rows as JSON to this path and exit")
+	benchJSON := flag.String("bench-json", "", "write hot-path benchmark rows, run at GOMAXPROCS=1, as JSON to this path and exit")
 	benchBaseline := flag.String("bench-baseline", "", "with -bench-json: fail if the fresh rows regress against this baseline JSON (strict allocs on micro/ rows)")
 	driftJSON := flag.String("drift-json", "", "run the attack-matrix drift wave and write its per-series PSI/KS report as JSON to this path, then exit")
 	flag.Parse()

@@ -15,6 +15,7 @@ package main
 // divergence, so they work as CI gates.
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -114,7 +115,7 @@ func runPackBuild(args []string) error {
 		if err != nil {
 			return fmt.Errorf("decoding session %s: %w", ds.traceID, err)
 		}
-		decision, err := sys.VerifyTraced(ds.traceID, decoded)
+		decision, err := sys.VerifyContext(context.Background(), ds.traceID, decoded)
 		if err != nil {
 			return fmt.Errorf("verifying session %s: %w", ds.traceID, err)
 		}

@@ -18,6 +18,11 @@ var Stages = [...]Stage{StageDistance, StageSoundField, StageLoudspeaker, StageS
 // slot is the stage's index in Stages.
 func (s Stage) slot() int { return int(s - StageDistance) }
 
+// stageSet has one bit per slot of Stages; allStages has every bit.
+type stageSet uint8
+
+const allStages stageSet = 1<<len(Stages) - 1
+
 // channel is a set of session input channels. A stage is admissible
 // once every channel it reads is closed, that is, complete.
 type channel uint16
@@ -66,17 +71,18 @@ var cascade = [len(Stages)]stageSpec{
 		}},
 }
 
-// evaluator is the one cascade engine. VerifyContext closes every
-// channel at once and finishes; a StreamVerifier closes channels as
-// their frames arrive and advances after each. Either way a stage runs
-// the moment its channels are closed, the stages admitted together
-// overlap, any failure decides a REJECT, and ACCEPT needs every
-// configured stage to have run and passed.
+// evaluator is the one cascade engine. VerifyContext (VerifyVoiceContext)
+// closes every channel (hello and voice) at once and finishes; a
+// StreamVerifier closes channels as their frames arrive and advances
+// after each. Either way a stage runs the moment its channels are
+// closed, the stages admitted together overlap, any failure decides a
+// REJECT, and ACCEPT needs every required stage to have run and passed.
 type evaluator struct {
 	sys     *System
 	traceID string
 	root    *telemetry.Span
 	start   time.Time
+	want    stageSet // the required stages
 
 	// in holds the closed channels' contents. mag is the magnetometer
 	// trace, which the loudspeaker stage reads before a stream has its
@@ -94,10 +100,16 @@ type evaluator struct {
 	dead     bool
 }
 
-// newEvaluator starts a verification's trace under traceID (empty
-// mints one); its decision's Elapsed runs from here.
-func (s *System) newEvaluator(traceID string) (*evaluator, error) {
-	if s.Distance == nil && s.Field == nil && s.Speaker == nil && s.Identity == nil {
+// newEvaluator starts a verification, requiring the configured stages
+// among asked, under traceID (empty mints one); Elapsed runs from here.
+func (s *System) newEvaluator(traceID string, asked stageSet) (*evaluator, error) {
+	want := asked
+	for i, spec := range cascade {
+		if !spec.on(s) {
+			want &^= 1 << i
+		}
+	}
+	if want == 0 {
 		return nil, ErrIncompleteSystem
 	}
 	if traceID == "" {
@@ -108,6 +120,7 @@ func (s *System) newEvaluator(traceID string) (*evaluator, error) {
 		traceID: traceID,
 		start:   time.Now(),
 		root:    s.Tracer.StartTrace(traceID, "verify"),
+		want:    want,
 	}, nil
 }
 
@@ -133,13 +146,13 @@ type pending struct {
 	verify func(e *evaluator, sp *telemetry.Span) StageResult
 }
 
-// advance runs every configured stage whose channels are closed and
-// that has not run yet. A non-nil decision is a REJECT.
+// advance runs every required stage whose channels are closed and that
+// has not run yet. A non-nil decision is a REJECT.
 func (e *evaluator) advance(ctx context.Context) (*Decision, error) {
 	var buf [len(Stages)]pending
 	batch := buf[:0]
 	for i, spec := range cascade {
-		if !e.ran[i] && e.closed&spec.needs == spec.needs && spec.on(e.sys) {
+		if !e.ran[i] && e.closed&spec.needs == spec.needs && e.want&(1<<i) != 0 {
 			batch = append(batch, pending{Stages[i], spec.verify})
 		}
 	}
@@ -201,9 +214,12 @@ func (e *evaluator) runStage(ctx context.Context, p pending, abandoned *atomic.B
 	return res
 }
 
-// finish runs the stages still admissible and decides. Every configured
+// finish runs the stages still admissible and decides. Every required
 // stage must have run by then.
 func (e *evaluator) finish(ctx context.Context) (Decision, error) {
+	if _, err := e.admit(ctx); err != nil {
+		return Decision{TraceID: e.traceID}, err
+	}
 	d, err := e.advance(ctx)
 	if err != nil {
 		return Decision{TraceID: e.traceID}, err
@@ -211,8 +227,8 @@ func (e *evaluator) finish(ctx context.Context) (Decision, error) {
 	if d != nil {
 		return *d, nil
 	}
-	for i, spec := range cascade {
-		if !e.ran[i] && spec.on(e.sys) {
+	for i := range cascade {
+		if !e.ran[i] && e.want&(1<<i) != 0 {
 			return Decision{TraceID: e.traceID}, e.fail(fmt.Errorf("core: stage %s never became admissible", Stages[i].MetricName()))
 		}
 	}

@@ -2,8 +2,8 @@ package core
 
 // Deadline tests: VerifyContext must bound the cascade by its request
 // context — abandoning speculative stages, never converting a timeout
-// into a biometric verdict, and staying byte-for-byte compatible with
-// VerifyTraced when the context cannot cancel.
+// into a biometric verdict, and matching the no-deadline Verify when the
+// context cannot cancel.
 
 import (
 	"context"
@@ -37,7 +37,7 @@ func hungSystem(t *testing.T, seed int64) (*System, chan struct{}) {
 	return sys, started
 }
 
-func TestVerifyContextNilAndBackgroundMatchVerifyTraced(t *testing.T) {
+func TestVerifyContextNilAndBackgroundMatchVerify(t *testing.T) {
 	sys, err := BuildSystem(SystemConfig{FieldSeed: 21, DisableField: true})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestVerifyContextNilAndBackgroundMatchVerifyTraced(t *testing.T) {
 	victim := speech.RandomProfile("victim", rand.New(rand.NewSource(21)))
 	session := genuineSessionFor(t, victim, "135792", 21)
 
-	want, err := sys.VerifyTraced("req-ctx-1", session)
+	want, err := sys.Verify(session)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,10 @@ func TestVerifyContextNilAndBackgroundMatchVerifyTraced(t *testing.T) {
 		}
 		if got.Accepted != want.Accepted || got.FailedStage != want.FailedStage ||
 			len(got.Stages) != len(want.Stages) {
-			t.Errorf("%s: decision %+v diverges from VerifyTraced %+v", name, got, want)
+			t.Errorf("%s: decision %+v diverges from Verify %+v", name, got, want)
+		}
+		if got.TraceID != "req-ctx-1" {
+			t.Errorf("%s: TraceID = %q, want the caller's req-ctx-1", name, got.TraceID)
 		}
 	}
 }

@@ -250,16 +250,30 @@ func (v *SpeakerVerifier) BuildEnrollment(user string, sessions [][]*audio.Signa
 	return m, nil
 }
 
+// ErrUserEnrolled is RegisterNew's refusal to replace a user's model.
+var ErrUserEnrolled = errors.New("core: user already enrolled")
+
 // Register makes a built model its user's live enrollment, replacing
 // any earlier one.
-func (v *SpeakerVerifier) Register(m *UserModel) {
+func (v *SpeakerVerifier) Register(m *UserModel) { _ = v.register(m, true) }
+
+// RegisterNew is Register for a new user only: the check and the
+// registration are one step, so of two racing registrations one wins.
+func (v *SpeakerVerifier) RegisterNew(m *UserModel) error { return v.register(m, false) }
+
+func (v *SpeakerVerifier) register(m *UserModel, replace bool) error {
 	v.usersMu.Lock()
 	defer v.usersMu.Unlock()
+	_, gmmOK := v.users[m.user]
+	if _, isvOK := v.isvUsers[m.user]; !replace && (gmmOK || isvOK) {
+		return fmt.Errorf("%w: %q", ErrUserEnrolled, m.user)
+	}
 	if m.isv != nil {
 		v.isvUsers[m.user] = m.isv
-		return
+		return nil
 	}
 	v.users[m.user] = m.gmm
+	return nil
 }
 
 // Score returns the back-end score of an utterance against a user.

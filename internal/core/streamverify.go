@@ -55,7 +55,7 @@ var ErrStreamClosed = errors.New("core: stream verifier is closed")
 // decision's Elapsed covers the whole stream — upload included — which
 // is what "time to decision" means on this path.
 func (s *System) NewStreamVerifier(traceID string) (*StreamVerifier, error) {
-	e, err := s.newEvaluator(traceID)
+	e, err := s.newEvaluator(traceID, allStages)
 	if err != nil {
 		return nil, err
 	}

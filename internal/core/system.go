@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 
+	"voiceguard/internal/audio"
+	"voiceguard/internal/parallel"
 	"voiceguard/internal/sensors"
 	"voiceguard/internal/telemetry"
 )
@@ -25,12 +27,10 @@ type System struct {
 	// and worker-block children below. Nil disables tracing at the cost
 	// of one pointer test per call.
 	Tracer *telemetry.Tracer
-	// StageHook, when set, runs at the start of every stage verification
-	// with the request context and the stage about to execute. It is the
-	// fault-injection seam the deadline and load-shedding tests use to
-	// make a stage artificially slow or hung (a hook that selects on
-	// ctx.Done simulates a stalled sensor back-end); production
-	// deployments leave it nil.
+	// StageHook, when set, runs with the request context at the start of
+	// every stage verification and enrollment build (StageSpeakerID). It
+	// is the fault-injection seam the deadline and load-shedding tests use
+	// to make a stage slow or hung; production deployments leave it nil.
 	StageHook func(ctx context.Context, st Stage)
 }
 
@@ -82,67 +82,80 @@ func (s *System) CalibrateEnvironment(ambient *sensors.Trace) {
 	}
 }
 
-// ErrIncompleteSystem is returned when Verify runs with no stages.
+// ErrIncompleteSystem is returned when no stage a call needs is configured.
 var ErrIncompleteSystem = errors.New("core: system has no configured stages")
 
 // Verify runs the cascade over a session with a freshly generated trace
-// ID. Stages execute in the paper's order and the first failure rejects;
-// all executed stage results are returned for diagnostics.
+// ID and no deadline.
 func (s *System) Verify(session *SessionData) (Decision, error) {
-	return s.VerifyTraced(telemetry.NewTraceID(), session)
-}
-
-// VerifyTraced runs the cascade under a caller-supplied trace ID (the
-// server passes the request's X-Request-ID so decision, response and log
-// line all correlate). It is the no-deadline compatibility form of
-// VerifyContext: the background context can never cancel, so the call
-// behaves exactly like the pre-context cascade at the cost of one nil
-// channel test.
-func (s *System) VerifyTraced(traceID string, session *SessionData) (Decision, error) {
-	//lint:allow ctxfirst seed-compatible entry point; deadline-aware callers use VerifyContext
-	return s.VerifyContext(context.Background(), traceID, session)
+	//lint:allow ctxfirst no-deadline convenience entry point; deadline-aware callers use VerifyContext
+	return s.VerifyContext(context.Background(), "", session)
 }
 
 // VerifyContext runs the cascade over an assembled session under a
-// request context and a caller-supplied trace ID. The session arrives
-// whole, so every stage is admitted at once and the stages overlap
-// (parallel.DoContext): the cheap sensor checks run alongside the
-// expensive ASV scoring instead of in front of it. The decision is
-// assembled in the paper's order and truncated at the first failure, so
-// it is indistinguishable from a serial cascade. Each executed stage is
-// individually timed and the decision carries the total pipeline
-// latency — the per-stage breakdown behind the paper's §V end-to-end
-// response-time result.
+// request context (nil: no deadline) and a caller-supplied trace ID
+// (empty mints one). Every stage is admitted at once, so the cheap
+// sensor checks overlap the ASV scoring; the decision lists them in the
+// paper's order, truncated at the first failure, as a serial cascade
+// would, with each stage's and the total latency.
 //
-// The context bounds the verification: it is checked on entry, again at
-// the start of every stage, and the fan-out stops waiting the moment ctx
-// dies. On cancellation the returned error wraps ctx.Err() — test it
-// with errors.Is(err, context.DeadlineExceeded) — and the Decision
-// carries only the trace ID: stages still running have detached and
-// their results are never read. The root span records an "outcome" =
-// "deadline_exceeded" attribute so abandoned attempts are
-// distinguishable in the flight recorder.
+// The context is checked on entry and at the start of every stage, and
+// the fan-out stops waiting the moment it dies: the error then wraps
+// ctx.Err(), the Decision carries only the trace ID, and the root span's
+// "outcome" attribute is "deadline_exceeded".
 func (s *System) VerifyContext(ctx context.Context, traceID string, session *SessionData) (Decision, error) {
 	if ctx == nil {
 		//lint:allow ctxfirst a nil context means "no deadline", the documented compatibility behavior
 		ctx = context.Background()
 	}
-	// The trace ID is assigned before validation so even an errored
-	// attempt returns a Decision that correlates with the request's logs
-	// and metrics exemplars.
+	// Minted before validation, so even a failed attempt correlates.
 	if traceID == "" {
 		traceID = telemetry.NewTraceID()
 	}
 	if err := session.Validate(); err != nil {
 		return Decision{TraceID: traceID}, err
 	}
-	e, err := s.newEvaluator(traceID)
+	e, err := s.newEvaluator(traceID, allStages)
 	if err != nil {
 		return Decision{TraceID: traceID}, err
 	}
 	e.in, e.mag, e.closed = *session, session.Gesture.Mag, allChannels
-	if _, err := e.admit(ctx); err != nil {
+	return e.finish(ctx)
+}
+
+// VerifyVoiceContext is VerifyContext over a claimed user and a non-nil
+// voice alone, requiring only the identity stage: the voice-only
+// baseline of the paper's Fig. 15, traced with "route" = "voiceprint".
+func (s *System) VerifyVoiceContext(ctx context.Context, traceID, user string, voice *audio.Signal) (Decision, error) {
+	e, err := s.newEvaluator(traceID, 1<<StageSpeakerID.slot())
+	if err != nil {
 		return Decision{TraceID: traceID}, err
 	}
+	e.root.SetString("route", "voiceprint")
+	e.in.ClaimedUser, e.in.Voice, e.closed = user, voice, chHello|chVoice
 	return e.finish(ctx)
+}
+
+// EnrollContext builds user's identity model under ctx, after StageHook,
+// and registers it with RegisterNew only if the build finished before
+// ctx died: on a dead context the error wraps ctx.Err(), and the
+// detached build's model is dropped.
+func (s *System) EnrollContext(ctx context.Context, user string, sessions [][]*audio.Signal) error {
+	if s.Identity == nil {
+		return ErrIncompleteSystem
+	}
+	var m *UserModel
+	var err error
+	if cerr := parallel.DoContext(ctx, func() {
+		if s.StageHook != nil {
+			s.StageHook(ctx, StageSpeakerID)
+		}
+		m, err = s.Identity.BuildEnrollment(user, sessions)
+	}); cerr != nil {
+		return fmt.Errorf("core: enrollment of %q abandoned: %w", user, cerr)
+	}
+	if err != nil {
+		return err
+	}
+	return s.Identity.RegisterNew(m)
 }

@@ -2,6 +2,7 @@ package rebuild
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -60,7 +61,7 @@ func buildPackForTest(t *testing.T, prov evidence.Provenance) *evidence.Pack {
 			t.Fatal(err)
 		}
 		traceID := []string{"t-genuine", "t-replayattack"}[i]
-		decision, err := sys.VerifyTraced(traceID, decoded)
+		decision, err := sys.VerifyContext(context.Background(), traceID, decoded)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,8 +111,9 @@ func TestDoContextEmpty(t *testing.T) {
 
 // BenchmarkDoContextBackground pins the uncancellable fast path against
 // plain Do: an uncancellable context must add no goroutines, channels or
-// allocations beyond Do itself, so the seed-compatible VerifyTraced path
-// stays benchmark-neutral.
+// allocations beyond Do itself, so VerifyContext under
+// context.Background() (and Verify, which calls it so) stays
+// benchmark-neutral.
 func BenchmarkDoContextBackground(b *testing.B) {
 	ctx := context.Background()
 	fns := []func(){func() {}, func() {}, func() {}, func() {}}

@@ -261,7 +261,7 @@ func DecisionFromStreamFrame(f stream.Frame) (resp *VerifyResponse, early bool, 
 
 // StreamError wraps a refusal in an error frame carrying the
 // HTTP-equivalent status, an optional Retry-After hint in seconds, and
-// the same JSON envelope writeJSONError would send.
+// the same JSON envelope the server's HTTP routes send.
 func StreamError(status, retryAfterSec int, resp *VerifyResponse) (stream.Frame, error) {
 	envelope, err := json.Marshal(resp)
 	if err != nil {

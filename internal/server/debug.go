@@ -7,7 +7,6 @@ package server
 // blocking the serving path.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -59,10 +58,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	for i := len(records) - 1; i >= 0; i-- {
 		summaries = append(summaries, records[i].Summary())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(summaries); err != nil {
-		s.logger.Error("encoding decision summaries", "err", err)
-	}
+	s.writeJSON(w, "", http.StatusOK, summaries)
 }
 
 // handleDecisionsJSONL streams retained traces oldest-first, one JSON
@@ -101,8 +97,5 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "trace not retained (evicted or never recorded)", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(rec); err != nil {
-		s.logger.Error("encoding trace", "err", err, "trace_id", id)
-	}
+	s.writeJSON(w, id, http.StatusOK, rec)
 }

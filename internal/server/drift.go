@@ -8,7 +8,6 @@ package server
 // performs the window writes, which are allocation-free.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -127,11 +126,6 @@ func (s *Server) sloConfigured() bool {
 		(s.slo.LatencyObjective > 0 && s.slo.LatencyObjective < 1)
 }
 
-// observeOutcome feeds one verify outcome into the rolling windows.
-func (s *Server) observeOutcome(o telemetry.VerifyOutcome, latency time.Duration) {
-	s.windows.ObserveVerify(o, latency)
-}
-
 // refreshObservability recomputes every window-derived gauge. Runs at
 // scrape/report time, never on the serving path.
 func (s *Server) refreshObservability() {
@@ -239,11 +233,7 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 		}
 		timeline = n
 	}
-	rep := s.DriftReport(timeline)
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(rep); err != nil {
-		s.logger.Error("encoding drift report", "err", err)
-	}
+	s.writeJSON(w, "", http.StatusOK, s.DriftReport(timeline))
 }
 
 // handleDriftPin pins the drift baseline from the trailing window.
@@ -264,11 +254,8 @@ func (s *Server) handleDriftPin(w http.ResponseWriter, r *http.Request) {
 	}
 	b := s.windows.PinBaseline(lookback)
 	s.logger.Info("drift baseline pinned", "window", lookback)
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(map[string]any{
+	s.writeJSON(w, "", http.StatusOK, map[string]any{
 		"pinned_unix": b.PinnedUnix,
 		"window":      b.Window.String(),
-	}); err != nil {
-		s.logger.Error("encoding pin response", "err", err)
-	}
+	})
 }

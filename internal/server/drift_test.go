@@ -223,7 +223,7 @@ func TestObserveDecisionAllocationFree(t *testing.T) {
 		},
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		srv.observeOutcome(telemetry.OutcomeAccepted, 100*time.Millisecond)
+		srv.windows.ObserveVerify(telemetry.OutcomeAccepted, 100*time.Millisecond)
 		srv.observer.ObserveDecision(&d)
 	})
 	if allocs != 0 {

@@ -24,6 +24,20 @@ func asvServer(t *testing.T) (*httptest.Server, *core.SpeakerVerifier) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	verifier := trainedVerifier(t)
+	sys.AttachIdentity(verifier)
+	srv, err := New(sys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts, verifier
+}
+
+// trainedVerifier trains a small identity back-end with no users.
+func trainedVerifier(t *testing.T) *core.SpeakerVerifier {
+	t.Helper()
 	roster := speech.NewRoster(4, 900)
 	utts, err := roster.Generate(speech.CorpusConfig{Sessions: 2, UtterancesPerSession: 2, Digits: 6})
 	if err != nil {
@@ -33,14 +47,7 @@ func asvServer(t *testing.T) (*httptest.Server, *core.SpeakerVerifier) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.AttachIdentity(verifier)
-	srv, err := New(sys, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, verifier
+	return verifier
 }
 
 func TestEnrollEndToEnd(t *testing.T) {

@@ -39,33 +39,35 @@ func genuineSession(t testing.TB, seed int64) *core.SessionData {
 	return session
 }
 
-// hungVerifySystem builds a distance-only system whose single stage
-// parks in the StageHook until release is called (idempotent; test
-// cleanup calls it as a backstop). started reports each stage entry.
-func hungVerifySystem(t *testing.T) (*core.System, chan struct{}, func()) {
+// parkedSystem builds a distance-only system, with identity attached as
+// stage 4 when non-nil, whose StageHook parks every entry of the stage
+// park until release is called (idempotent; test cleanup calls it as a
+// backstop). started reports each parked entry.
+func parkedSystem(t *testing.T, park core.Stage, identity *core.SpeakerVerifier) (*core.System, chan struct{}, func()) {
 	t.Helper()
-	sys, err := core.BuildSystem(core.SystemConfig{
-		FieldSeed: 41, DisableField: true, DisableMagnetic: true,
-	})
+	sys, err := core.BuildSystem(core.SystemConfig{FieldSeed: 41, DisableField: true, DisableMagnetic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.AttachIdentity(identity)
 	started := make(chan struct{}, 64)
 	releaseCh := make(chan struct{})
 	var once sync.Once
 	release := func() { once.Do(func() { close(releaseCh) }) }
 	t.Cleanup(release)
 	sys.StageHook = func(ctx context.Context, st core.Stage) {
-		started <- struct{}{}
-		<-releaseCh
+		if st == park {
+			started <- struct{}{}
+			<-releaseCh
+		}
 	}
 	return sys, started, release
 }
 
-// postVerify uploads payload to /verify under the given trace ID.
-func postVerifyID(t *testing.T, base string, traceID string, payload []byte) *http.Response {
+// postID uploads payload to path under the given trace ID.
+func postID(t *testing.T, base, path, traceID string, payload []byte) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, base+"/verify", bytes.NewReader(payload))
+	req, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +97,14 @@ func decodeEnvelope(t *testing.T, resp *http.Response) protocol.VerifyResponse {
 // structured JSON envelope carrying the trace ID, and the attempt lands
 // in the deadline_exceeded counter — never in accepted/rejected.
 func TestVerifyTimeoutReturns503(t *testing.T) {
-	sys, started, _ := hungVerifySystem(t)
+	sys, started, _ := parkedSystem(t, core.StageDistance, nil)
 	srv, err := New(sys, nil, WithVerifyTimeout(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := newHandlerServer(t, srv)
 
-	resp := postVerifyID(t, ts, "deadline-req-1", genuinePayload(t, 41))
+	resp := postID(t, ts, "/verify", "deadline-req-1", genuinePayload(t, 41))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", resp.StatusCode)
 	}
@@ -156,7 +158,7 @@ func newHandlerServer(t *testing.T, srv *Server) string {
 // Retry-After, structured envelope, shed counter — and that the parked
 // 16 still complete once released.
 func TestMaxInflightShedsExcessVerify(t *testing.T) {
-	sys, started, release := hungVerifySystem(t)
+	sys, started, release := parkedSystem(t, core.StageDistance, nil)
 	srv, err := New(sys, nil, WithMaxInflightVerifies(16))
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +172,7 @@ func TestMaxInflightShedsExcessVerify(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp := postVerifyID(t, ts, "", payload)
+			resp := postID(t, ts, "/verify", "", payload)
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			statuses <- resp.StatusCode
@@ -186,7 +188,7 @@ func TestMaxInflightShedsExcessVerify(t *testing.T) {
 		}
 	}
 
-	resp := postVerifyID(t, ts, "shed-req-1", payload)
+	resp := postID(t, ts, "/verify", "shed-req-1", payload)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("17th concurrent verify: status = %d, want 429", resp.StatusCode)
 	}
@@ -225,7 +227,7 @@ func TestMaxInflightShedsExcessVerify(t *testing.T) {
 // verification parked in the pipeline, Shutdown closes the listener to
 // new work but blocks until the in-flight decision is delivered intact.
 func TestShutdownDrainsInflightVerify(t *testing.T) {
-	sys, started, release := hungVerifySystem(t)
+	sys, started, release := parkedSystem(t, core.StageDistance, nil)
 	srv, err := New(sys, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +455,8 @@ func TestMethodGuardsReturnJSONEnvelope(t *testing.T) {
 }
 
 // TestVoiceprintErrorsCounted checks malformed voiceprint uploads land
-// in the labeled error counter instead of vanishing.
+// in the voiceprint family's error outcome instead of vanishing, and
+// never in the verification Stats.
 func TestVoiceprintErrorsCounted(t *testing.T) {
 	srv, ts := testServer(t)
 	resp, err := http.Post(ts.URL+"/voiceprint", "application/gzip",
@@ -468,9 +471,12 @@ func TestVoiceprintErrorsCounted(t *testing.T) {
 	if vr.Error == "" || vr.TraceID == "" {
 		t.Errorf("voiceprint error envelope incomplete: %+v", vr)
 	}
-	decodeErrs := srv.Registry().Counter(MetricVoiceprintErrors, map[string]string{"reason": "decode"})
+	decodeErrs := srv.Registry().Counter(MetricVoiceprintTotal, map[string]string{"outcome": "error"})
 	if decodeErrs.Value() != 1 {
-		t.Errorf("decode error counter = %d, want 1", decodeErrs.Value())
+		t.Errorf("voiceprint error counter = %d, want 1", decodeErrs.Value())
+	}
+	if st := srv.Stats(); st != (Stats{}) {
+		t.Errorf("stats = %+v, want a voiceprint counted nowhere in Stats", st)
 	}
 }
 

@@ -31,15 +31,16 @@ import (
 
 // Metric names exported on /metrics.
 const (
-	MetricStageLatency     = "voiceguard_stage_latency_seconds"
-	MetricPipelineLatency  = "voiceguard_pipeline_latency_seconds"
-	MetricVerifyTotal      = "voiceguard_verify_total"
-	MetricVerifyInflight   = "voiceguard_verify_inflight"
-	MetricVoiceprintErrors = "voiceguard_voiceprint_errors_total"
-	MetricHTTPRequests     = "voiceguard_http_requests_total"
-	MetricHTTPDuration     = "voiceguard_http_request_duration_seconds"
-	MetricHTTPInflight     = "voiceguard_http_inflight_requests"
-	MetricRequestTooLarge  = "voiceguard_request_too_large_total"
+	MetricStageLatency    = "voiceguard_stage_latency_seconds"
+	MetricPipelineLatency = "voiceguard_pipeline_latency_seconds"
+	MetricVerifyTotal     = "voiceguard_verify_total"
+	MetricVoiceprintTotal = "voiceguard_voiceprint_total"
+	MetricEnrollTotal     = "voiceguard_enroll_total"
+	MetricVerifyInflight  = "voiceguard_verify_inflight"
+	MetricHTTPRequests    = "voiceguard_http_requests_total"
+	MetricHTTPDuration    = "voiceguard_http_request_duration_seconds"
+	MetricHTTPInflight    = "voiceguard_http_inflight_requests"
+	MetricRequestTooLarge = "voiceguard_request_too_large_total"
 )
 
 // Server wraps the pipeline behind HTTP.
@@ -51,16 +52,14 @@ type Server struct {
 	metricsOff     bool
 	decisionsDebug bool
 
-	// Decision tracing: every sampled /verify request records an
-	// evidence-carrying span tree into the flight-recorder ring behind
-	// /debug/decisions and /debug/trace/{id}.
+	// Decision tracing: every sampled decision records its span tree in
+	// the flight-recorder ring behind /debug/decisions.
 	recorder    *telemetry.FlightRecorder
 	flightSize  int
 	sampleTrace func(string) bool
 
-	// Load management: verifyTimeout bounds each /verify pipeline run (0
-	// = unbounded, the seed behavior); sem admission-controls concurrent
-	// verifies (nil = unbounded).
+	// Load management of every scoring route: a pipeline deadline (0 =
+	// none) and an admission semaphore (nil = unbounded).
 	verifyTimeout time.Duration
 	maxInflight   int
 	sem           chan struct{}
@@ -77,16 +76,12 @@ type Server struct {
 	retainer      *evidenceRetainer
 	spoolWG       sync.WaitGroup
 
-	// Verify outcome counters. Total requests is their sum, so the
-	// Requests == Accepted+Rejected+Errors+DeadlineExceeded+Shed
-	// invariant holds by construction under any interleaving.
-	accepted, rejected, errored *telemetry.Counter
-	deadlined, shed             *telemetry.Counter
-	vpErrDecode, vpErrVoice     *telemetry.Counter
-	tooLarge                    map[string]*telemetry.Counter
-	verifyInflight              *telemetry.Gauge
-	pipelineHist                *telemetry.Histogram
-	stageHist                   map[core.Stage]*telemetry.Histogram
+	// Outcome counters per kind of request; Stats reads verifies.
+	verifies, voiceprints, enrolls family
+	tooLarge                       map[string]*telemetry.Counter
+	verifyInflight                 *telemetry.Gauge
+	pipelineHist                   *telemetry.Histogram
+	stageHist                      map[core.Stage]*telemetry.Histogram
 
 	// Time-aware observability (drift.go): the rolling-window set fed
 	// from the decision path, the evidence observer binding it, and the
@@ -162,23 +157,19 @@ func WithDecisionEndpoints() Option {
 	return func(s *Server) { s.decisionsDebug = true }
 }
 
-// WithVerifyTimeout bounds each /verify pipeline run: a verification
-// that has not produced a decision within d is abandoned and answered
-// with a 503 JSON error carrying the trace ID, and the deadline_exceeded
-// outcome counter increments. 0 (the default) preserves the seed
-// behavior — a verify may run as long as it needs. A stalled stage's
-// goroutines detach and finish in the background; the connection is
-// released at the deadline either way.
+// WithVerifyTimeout bounds the pipeline run of every scoring route's
+// request: past d it is abandoned, answered 503 with the trace ID and
+// counted as its route's deadline_exceeded. 0 (the default) is no bound.
+// A stalled stage's goroutines detach and finish in the background.
 func WithVerifyTimeout(d time.Duration) Option {
 	return func(s *Server) { s.verifyTimeout = d }
 }
 
-// WithMaxInflightVerifies admission-controls /verify: at most n
-// verifications run concurrently, and request n+1 is shed immediately
-// with 429 + Retry-After instead of queueing unboundedly behind a
-// saturated pipeline (each verify fans out across every core, so
-// admitting more than a handful multiplies nothing but memory and tail
-// latency). 0 (the default) preserves the seed behavior — no limit.
+// WithMaxInflightVerifies lets at most n requests of the scoring routes
+// (/verify, stream sessions, /voiceprint, /enroll) run at once: request
+// n+1 is shed at once with 429 + Retry-After instead of queueing behind
+// a saturated pipeline, where each verify already fans out across every
+// core. 0 (the default) is no limit.
 func WithMaxInflightVerifies(n int) Option {
 	return func(s *Server) { s.maxInflight = n }
 }
@@ -192,8 +183,8 @@ func WithTraceSampling(ratio float64) Option {
 }
 
 // Stats counts verification attempts on both listeners: /verify
-// requests and stream sessions. Fields are int64 so counts survive
-// long-lived high-traffic deployments.
+// requests and stream sessions, not /voiceprint or /enroll. Fields are
+// int64 so counts survive long-lived high-traffic deployments.
 type Stats struct {
 	// Requests is the total number of verification attempts: /verify
 	// calls plus stream sessions that completed the handshake.
@@ -223,17 +214,12 @@ func New(system *core.System, logger *slog.Logger, opts ...Option) (*Server, err
 		opt(s)
 	}
 	r := s.registry
-	s.accepted = r.Counter(MetricVerifyTotal, telemetry.Labels{"outcome": "accepted"})
-	s.rejected = r.Counter(MetricVerifyTotal, telemetry.Labels{"outcome": "rejected"})
-	s.errored = r.Counter(MetricVerifyTotal, telemetry.Labels{"outcome": "error"})
-	s.deadlined = r.Counter(MetricVerifyTotal, telemetry.Labels{"outcome": "deadline_exceeded"})
-	s.shed = r.Counter(MetricVerifyTotal, telemetry.Labels{"outcome": "shed"})
-	r.SetHelp(MetricVerifyTotal, "verification attempts by outcome")
+	s.verifies = newFamily(r, MetricVerifyTotal, "verify", "verification attempts (/verify and stream sessions) by outcome")
+	s.voiceprints = newFamily(r, MetricVoiceprintTotal, "voiceprint", "voice-only baseline attempts by outcome")
+	s.enrolls = newFamily(r, MetricEnrollTotal, "enroll",
+		"enrollment attempts by outcome (accepted: enrolled; rejected: the user was already enrolled)")
 	s.verifyInflight = r.Gauge(MetricVerifyInflight, nil)
-	r.SetHelp(MetricVerifyInflight, "verifications currently executing the pipeline")
-	s.vpErrDecode = r.Counter(MetricVoiceprintErrors, telemetry.Labels{"reason": "decode"})
-	s.vpErrVoice = r.Counter(MetricVoiceprintErrors, telemetry.Labels{"reason": "bad_voice"})
-	r.SetHelp(MetricVoiceprintErrors, "voiceprint baseline failures by reason")
+	r.SetHelp(MetricVerifyInflight, "requests holding an admission slot (verifications, voiceprints and enrollments)")
 	s.tooLarge = make(map[string]*telemetry.Counter)
 	for _, route := range []string{"verify", "enroll", "voiceprint", "stream"} {
 		s.tooLarge[route] = r.Counter(MetricRequestTooLarge, telemetry.Labels{"route": route})
@@ -318,114 +304,89 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// handleEnroll registers a user with the ASV stage. It requires the
-// server to have an identity back-end attached.
+// handleEnroll registers a new user with the ASV stage. It answers 501
+// without one, and 409 for a user who is already enrolled.
 func (s *Server) handleEnroll(w http.ResponseWriter, r *http.Request) {
-	traceID := RequestID(r.Context())
-	respond := func(status int, resp *protocol.EnrollResponse) {
-		resp.TraceID = traceID
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		if err := json.NewEncoder(w).Encode(resp); err != nil {
-			s.logger.Error("encoding enroll response", "err", err, "trace_id", traceID)
-		}
-	}
-	if r.Method != http.MethodPost {
-		respond(http.StatusMethodNotAllowed, &protocol.EnrollResponse{Error: "POST required"})
+	v, release := s.begin(w, r, &s.enrolls, s.system.Identity != nil)
+	if v == nil {
 		return
 	}
+	defer release()
 	if s.system.Identity == nil {
-		respond(http.StatusNotImplemented, &protocol.EnrollResponse{Error: "no ASV stage attached"})
+		s.fail(v, http.StatusNotImplemented, "no ASV stage attached")
 		return
 	}
-	s.capBody(w, r)
 	req, err := protocol.DecodeEnroll(r.Body)
 	if err != nil {
-		if requestTooLarge(err) {
-			s.tooLarge["enroll"].Inc()
-			respond(http.StatusRequestEntityTooLarge, &protocol.EnrollResponse{Error: err.Error()})
-			return
-		}
-		respond(http.StatusBadRequest, &protocol.EnrollResponse{Error: err.Error()})
+		s.decodeFailed(v, err)
 		return
 	}
+	v.user = req.User
 	sessions, err := protocol.SessionsFromEnroll(req)
 	if err != nil {
-		respond(http.StatusBadRequest, &protocol.EnrollResponse{Error: err.Error()})
+		s.fail(v, http.StatusBadRequest, fmt.Sprintf("rebuilding sessions: %v", err))
 		return
 	}
-	if err := s.system.Identity.Enroll(req.User, sessions); err != nil {
-		respond(http.StatusUnprocessableEntity, &protocol.EnrollResponse{Error: err.Error()})
-		return
+	ctx, cancel := s.deadline(r.Context())
+	defer cancel()
+	switch err := s.system.EnrollContext(ctx, req.User, sessions); {
+	case errors.Is(err, core.ErrUserEnrolled):
+		s.observe(v, telemetry.OutcomeRejected, time.Since(v.start))
+		s.logger.Warn("enroll refused", "trace_id", v.traceID, "user", v.user, "err", err)
+		v.refuse(http.StatusConflict, 0, err.Error())
+	case err != nil:
+		s.settle(v, nil, err, http.StatusUnprocessableEntity)
+	default:
+		s.observe(v, telemetry.OutcomeAccepted, time.Since(v.start))
+		s.logger.Info("enroll", "trace_id", v.traceID, "transport", v.transport, "user", v.user,
+			"sessions", len(sessions), "elapsed", time.Since(v.start))
+		s.writeJSON(w, v.traceID, http.StatusOK, &protocol.EnrollResponse{OK: true, TraceID: v.traceID})
 	}
-	s.logger.Info("enrolled user", "user", req.User, "sessions", len(sessions),
-		"trace_id", RequestID(r.Context()))
-	respond(http.StatusOK, &protocol.EnrollResponse{OK: true})
 }
 
-// handleVoiceprint serves the voice-only baseline scheme (Fig. 15): it
-// runs only the ASV stage when one is attached, and accepts otherwise
-// (transport-path measurement).
+// handleVoiceprint serves the voice-only baseline scheme (Fig. 15).
+// Without an identity stage it answers an ACCEPT that runs no stage and
+// takes no admission slot: experiment.RunTiming times that transport.
 func (s *Server) handleVoiceprint(w http.ResponseWriter, r *http.Request) {
-	traceID := RequestID(r.Context())
-	if r.Method != http.MethodPost {
-		s.writeJSONError(w, traceID, http.StatusMethodNotAllowed, "POST required")
+	scored := s.system.Identity != nil
+	v, release := s.begin(w, r, &s.voiceprints, scored)
+	if v == nil {
 		return
 	}
-	fail := func(status int, counter *telemetry.Counter, msg string) {
-		counter.Inc()
-		s.logger.Warn("voiceprint failed", "trace_id", traceID, "status", status, "err", msg)
-		s.writeJSONError(w, traceID, status, msg)
-	}
-	s.capBody(w, r)
+	defer release()
 	req, err := protocol.DecodeVoiceprint(r.Body)
 	if err != nil {
-		if requestTooLarge(err) {
-			s.tooLarge["voiceprint"].Inc()
-			fail(http.StatusRequestEntityTooLarge, s.vpErrDecode, fmt.Sprintf("decoding request: %v", err))
-			return
-		}
-		fail(http.StatusBadRequest, s.vpErrDecode, fmt.Sprintf("decoding request: %v", err))
+		s.decodeFailed(v, err)
 		return
 	}
-	resp := &protocol.VerifyResponse{Accepted: true, TraceID: traceID}
-	if s.system.Identity != nil {
-		voice, err := protocol.VoiceFromRequest(req)
-		if err != nil {
-			fail(http.StatusBadRequest, s.vpErrVoice, fmt.Sprintf("rebuilding voice: %v", err))
+	v.user = req.ClaimedUser
+	decision := core.Decision{TraceID: v.traceID, Accepted: true}
+	if scored {
+		voice, verr := protocol.VoiceFromRequest(req)
+		if verr != nil {
+			s.fail(v, http.StatusBadRequest, fmt.Sprintf("rebuilding voice: %v", verr))
 			return
 		}
-		start := time.Now()
-		res := s.system.Identity.Verify(req.ClaimedUser, voice)
-		elapsed := time.Since(start)
-		s.stageHist[core.StageSpeakerID].ObserveDuration(elapsed)
-		resp.Accepted = res.Pass
-		if !res.Pass {
-			resp.FailedStage = res.Stage.String()
-		}
-		resp.Stages = []protocol.StageJSON{{
-			Stage: res.Stage.String(), Pass: res.Pass, Score: res.Score, Detail: res.Detail,
-			ElapsedUS: elapsed.Microseconds(),
-		}}
-		resp.ElapsedUS = elapsed.Microseconds()
+		ctx, cancel := s.deadline(r.Context())
+		defer cancel()
+		decision, err = s.system.VerifyVoiceContext(ctx, v.traceID, req.ClaimedUser, voice)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		s.logger.Error("encoding voiceprint response", "err", err, "trace_id", RequestID(r.Context()))
+	if s.settle(v, &decision, err, http.StatusUnprocessableEntity) {
+		s.writeJSON(w, v.traceID, http.StatusOK, protocol.DecisionToResponse(decision))
 	}
 }
 
-// Stats returns a snapshot of the request counters. Requests is derived
-// as the sum of the outcome counters, so the Requests ==
-// Accepted+Rejected+Errors+DeadlineExceeded+Shed invariant cannot be
-// violated by interleaved updates.
+// Stats returns a snapshot of the verification counters. Requests is
+// their sum, so the Requests == Accepted+Rejected+Errors+
+// DeadlineExceeded+Shed invariant holds under any interleaving.
 func (s *Server) Stats() Stats {
+	c := &s.verifies.counts
 	st := Stats{
-		Accepted:         s.accepted.Value(),
-		Rejected:         s.rejected.Value(),
-		Errors:           s.errored.Value(),
-		DeadlineExceeded: s.deadlined.Value(),
-		Shed:             s.shed.Value(),
+		Accepted:         c[telemetry.OutcomeAccepted].Value(),
+		Rejected:         c[telemetry.OutcomeRejected].Value(),
+		Errors:           c[telemetry.OutcomeError].Value(),
+		DeadlineExceeded: c[telemetry.OutcomeDeadlineExceeded].Value(),
+		Shed:             c[telemetry.OutcomeShed].Value(),
 	}
 	st.Requests = st.Accepted + st.Rejected + st.Errors + st.DeadlineExceeded + st.Shed
 	return st
@@ -453,10 +414,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			core.StageSpeakerID.MetricName():   s.system.Identity != nil,
 		},
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		s.logger.Error("encoding health response", "err", err)
-	}
+	s.writeJSON(w, "", http.StatusOK, resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -464,10 +422,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(s.Stats()); err != nil {
-		s.logger.Error("encoding stats", "err", err)
-	}
+	s.writeJSON(w, "", http.StatusOK, s.Stats())
 }
 
 // wantsOpenMetrics reports whether the scraper's Accept header
@@ -506,14 +461,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// capBody bounds the raw upload before any gzip decode. The protocol
-// decoders cap the *decompressed* payload, but without this an attacker
-// could stream an unbounded raw body into the gzip reader; MaxBytesReader
-// cuts the connection off at the cap and poisons further reads with
-// *http.MaxBytesError. Each read of the body also gets an idle deadline,
-// the stream listener's per-frame timeout, so a client that stops
-// sending fails the read instead of holding its handler, and on /verify
-// an admission slot, forever.
+// capBody bounds the raw upload before any gzip decode, which caps only
+// the decompressed payload: MaxBytesReader cuts the connection off at
+// the cap with *http.MaxBytesError. Each read also gets an idle deadline,
+// the stream's per-frame timeout, so a client that stops sending fails
+// the read instead of holding its handler and admission slot forever.
 func (s *Server) capBody(w http.ResponseWriter, r *http.Request) {
 	body := idleBody{r.Body, http.NewResponseController(w), s.streamFrameTimeout}
 	r.Body = http.MaxBytesReader(w, body, protocol.MaxPayloadBytes)
@@ -535,53 +487,33 @@ func (b idleBody) Read(p []byte) (int, error) {
 	return b.ReadCloser.Read(p)
 }
 
-// requestTooLarge reports whether a decode failure means the upload blew
-// either size cap — the raw-body guard or the decoded-payload limit —
-// and should answer 413 rather than a generic 400.
-func requestTooLarge(err error) bool {
-	var mbe *http.MaxBytesError
-	return errors.As(err, &mbe) || errors.Is(err, protocol.ErrTooLarge)
-}
-
-// writeJSONError answers a failed POST request with the JSON error
-// envelope every /verify-family failure uses — the error text plus the
-// trace ID, so even a refused request correlates with the server's logs.
-func (s *Server) writeJSONError(w http.ResponseWriter, traceID string, status int, msg string) {
+// writeJSON answers a request with body as JSON; traceID, when known,
+// tags a failed encode's log line.
+func (s *Server) writeJSON(w http.ResponseWriter, traceID string, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	resp := &protocol.VerifyResponse{Error: msg, TraceID: traceID}
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		s.logger.Error("encoding error response", "err", err, "trace_id", traceID)
+	if err := json.NewEncoder(w).Encode(body); err != nil {
+		s.logger.Error("encoding response", "err", err, "trace_id", traceID)
 	}
+}
+
+// deadline bounds ctx by the configured per-request timeout, if any.
+func (s *Server) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.verifyTimeout > 0 {
+		return context.WithTimeout(ctx, s.verifyTimeout)
+	}
+	return ctx, func() {}
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	traceID := RequestID(r.Context())
-	if r.Method != http.MethodPost {
-		s.writeJSONError(w, traceID, http.StatusMethodNotAllowed, "POST required")
+	v, release := s.begin(w, r, &s.verifies, true)
+	if v == nil {
 		return
 	}
-	v := &verification{transport: "http", traceID: traceID, start: time.Now()}
-	v.refuse = func(status, retryAfterSec int, msg string) {
-		if retryAfterSec > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSec))
-		}
-		s.writeJSONError(w, traceID, status, msg)
-	}
-	if !s.admit(v) {
-		return
-	}
-	defer s.release()
-
-	s.capBody(w, r)
+	defer release()
 	req, err := protocol.DecodeRequest(r.Body)
 	if err != nil {
-		status := http.StatusBadRequest
-		if requestTooLarge(err) {
-			s.tooLarge["verify"].Inc()
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.fail(v, status, fmt.Sprintf("decoding request: %v", err))
+		s.decodeFailed(v, err)
 		return
 	}
 	v.req, v.user = req, req.ClaimedUser
@@ -590,58 +522,96 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.fail(v, http.StatusBadRequest, fmt.Sprintf("rebuilding session: %v", err))
 		return
 	}
-	// The pipeline runs under the request's context — cancelled when the
-	// client disconnects — optionally tightened by the configured
-	// per-request deadline.
-	ctx := r.Context()
-	if s.verifyTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.verifyTimeout)
-		defer cancel()
-	}
-	decision, err := s.system.VerifyContext(ctx, traceID, session)
-	if !s.settle(v, &decision, err, http.StatusUnprocessableEntity) {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(protocol.DecisionToResponse(decision)); err != nil {
-		s.logger.Error("encoding response", "err", err, "trace_id", traceID)
+	// Cancelled when the client disconnects, or at the deadline.
+	ctx, cancel := s.deadline(r.Context())
+	defer cancel()
+	decision, err := s.system.VerifyContext(ctx, v.traceID, session)
+	if s.settle(v, &decision, err, http.StatusUnprocessableEntity) {
+		s.writeJSON(w, v.traceID, http.StatusOK, protocol.DecisionToResponse(decision))
 	}
 }
 
-// verification is one /verify request or one stream session, from
-// admission to its settled outcome. Both listeners account it through
-// the same admit and settle, so every verification lands in exactly one
-// of accepted/rejected/errored/deadlined/shed whichever transport
-// carried it.
+// family is one kind of request's outcome counters, indexed by
+// telemetry.VerifyOutcome. Only verifies (/verify and the stream) feeds
+// Stats, the windows and the pipeline histogram.
+type family struct {
+	name   string // the route, and the message of its log lines
+	counts [telemetry.OutcomeShed + 1]*telemetry.Counter
+}
+
+func newFamily(r *telemetry.Registry, metric, name, help string) family {
+	f := family{name: name}
+	for o := range f.counts {
+		f.counts[o] = r.Counter(metric, telemetry.Labels{"outcome": telemetry.VerifyOutcome(o).String()})
+	}
+	r.SetHelp(metric, help)
+	return f
+}
+
+// verification is one request of a scoring route from admission to its
+// settled outcome. Every route accounts it through the same admit, fail
+// and settle, so it lands in exactly one outcome of its family.
 type verification struct {
+	fam       *family
 	transport string // "http" or "stream"
 	traceID   string
 	user      string
 	start     time.Time
-	// req is the decoded upload, retained for evidence packs. It is nil
-	// on the stream: an early REJECT has no complete session to replay.
-	req *protocol.VerifyRequest
-	// refuse answers a shed, failed or abandoned verification on its
-	// transport with the JSON error envelope.
+	req       *protocol.VerifyRequest // a /verify upload, kept for evidence packs
+	// refuse answers with the JSON error envelope every POST route and
+	// the stream share: the error text plus the trace ID, so even a
+	// refusal correlates with the logs.
 	refuse func(status, retryAfterSec int, msg string)
 }
 
+// begin starts the verification of a POST to an HTTP route of fam, caps
+// its body and, when admit is set, takes an admission slot. It returns
+// nil once it has answered (405 or 429); else the caller defers release.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, fam *family, admit bool) (v *verification, release func()) {
+	traceID := RequestID(r.Context())
+	v = &verification{fam: fam, transport: "http", traceID: traceID, start: time.Now()}
+	v.refuse = func(status, retryAfterSec int, msg string) {
+		if retryAfterSec > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSec))
+		}
+		s.writeJSON(w, traceID, status, &protocol.VerifyResponse{Error: msg, TraceID: traceID})
+	}
+	if r.Method != http.MethodPost {
+		v.refuse(http.StatusMethodNotAllowed, 0, "POST required")
+		return nil, nil
+	}
+	release = func() {}
+	if admit {
+		if !s.admit(v) {
+			return nil, nil
+		}
+		release = s.release
+	}
+	s.capBody(w, r)
+	return v, release
+}
+
+// observe counts v's outcome; a verification's also feeds the windows.
+func (s *Server) observe(v *verification, o telemetry.VerifyOutcome, latency time.Duration) {
+	v.fam.counts[o].Inc()
+	if v.fam == &s.verifies {
+		s.windows.ObserveVerify(o, latency)
+	}
+}
+
 // admit is the one admission path. It runs before any decode, so a shed
-// verification costs the server nothing but its 429 reply, which is the
-// whole point of shedding. After a true return the caller must defer
-// s.release.
+// request costs only its 429 reply. After a true return the caller must
+// defer s.release.
 func (s *Server) admit(v *verification) bool {
 	if s.sem != nil {
 		select {
 		case s.sem <- struct{}{}:
 		default:
-			s.shed.Inc()
-			s.observeOutcome(telemetry.OutcomeShed, 0)
-			s.logger.Warn("verify shed", "trace_id", v.traceID, "transport", v.transport,
+			s.observe(v, telemetry.OutcomeShed, 0)
+			s.logger.Warn(v.fam.name+" shed", "trace_id", v.traceID, "transport", v.transport,
 				"max_inflight", s.maxInflight)
 			v.refuse(http.StatusTooManyRequests, 1,
-				fmt.Sprintf("overloaded: %d verifications already in flight", s.maxInflight))
+				fmt.Sprintf("overloaded: %d requests already in flight", s.maxInflight))
 			return false
 		}
 	}
@@ -657,50 +627,63 @@ func (s *Server) release() {
 	}
 }
 
-// fail settles a verification that ended in an error. Error outcomes
-// report their real latency: a zero here would mislabel where time went
-// the moment any window consumer starts attributing error time.
+// fail settles a request that ended in an error, with its real latency:
+// a zero would mislabel where time went.
 func (s *Server) fail(v *verification, status int, msg string) {
-	s.errored.Inc()
-	s.observeOutcome(telemetry.OutcomeError, time.Since(v.start))
-	s.logger.Warn("verify failed", "trace_id", v.traceID, "transport", v.transport,
+	s.observe(v, telemetry.OutcomeError, time.Since(v.start))
+	s.logger.Warn(v.fam.name+" failed", "trace_id", v.traceID, "transport", v.transport,
 		"status", status, "err", msg)
 	v.refuse(status, 0, msg)
 }
 
+// requestTooLarge reports whether a decode failure means the upload blew
+// either size cap — the raw-body guard or the decoded-payload limit.
+func requestTooLarge(err error) bool {
+	var mbe *http.MaxBytesError
+	return errors.As(err, &mbe) || errors.Is(err, protocol.ErrTooLarge)
+}
+
+// decodeFailed fails a request whose upload did not decode: 413, counted
+// per route, when it was too large, and 400 otherwise.
+func (s *Server) decodeFailed(v *verification, err error) {
+	status := http.StatusBadRequest
+	if requestTooLarge(err) {
+		s.tooLarge[v.fam.name].Inc()
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.fail(v, status, fmt.Sprintf("decoding request: %v", err))
+}
+
 // settle is the one decision sink. A deadline or cancellation is an
 // honest timeout, not a verdict: 503 with the trace ID, so the client
-// can retry and the operator can pull the abandoned trace from the
-// flight recorder. Any other error fails with errStatus. A decision is
-// recorded in the outcome counters, the windows, the stage and pipeline
-// histograms, evidence retention (only when a decoded request exists)
-// and one log line with per-stage durations, plus any extra log
-// attributes; settle then reports true and the caller sends it.
+// can retry and the operator can find the abandoned trace. Any other
+// error fails with errStatus. A decision is counted, observed (a
+// verification's also in the windows, the pipeline histogram and
+// evidence retention) and logged; settle then reports true.
 func (s *Server) settle(v *verification, d *core.Decision, err error, errStatus int, attrs ...any) bool {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		s.observe(v, telemetry.OutcomeDeadlineExceeded, time.Since(v.start))
+		s.logger.Warn(v.fam.name+" deadline exceeded", "trace_id", v.traceID, "transport", v.transport,
+			"timeout", s.verifyTimeout, "err", err)
+		v.refuse(http.StatusServiceUnavailable, 0, fmt.Sprintf("request abandoned: %v", err))
+		return false
+	}
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.deadlined.Inc()
-			s.observeOutcome(telemetry.OutcomeDeadlineExceeded, time.Since(v.start))
-			s.logger.Warn("verify deadline exceeded", "trace_id", v.traceID, "transport", v.transport,
-				"timeout", s.verifyTimeout, "err", err)
-			v.refuse(http.StatusServiceUnavailable, 0, fmt.Sprintf("verification abandoned: %v", err))
-			return false
-		}
-		s.fail(v, errStatus, fmt.Sprintf("verifying: %v", err))
+		s.fail(v, errStatus, fmt.Sprintf("%s: %v", v.fam.name, err))
 		return false
 	}
 	if d.Accepted {
-		s.accepted.Inc()
-		s.observeOutcome(telemetry.OutcomeAccepted, d.Elapsed)
+		s.observe(v, telemetry.OutcomeAccepted, d.Elapsed)
 	} else {
-		s.rejected.Inc()
-		s.observeOutcome(telemetry.OutcomeRejected, d.Elapsed)
+		s.observe(v, telemetry.OutcomeRejected, d.Elapsed)
 	}
-	s.observer.ObserveDecision(d)
+	if v.fam == &s.verifies {
+		s.observer.ObserveDecision(d)
+		s.pipelineHist.ObserveDurationExemplar(d.Elapsed, d.TraceID)
+	}
 	if v.req != nil && s.evidenceEnabled() {
 		s.retainEvidence(v.traceID, v.req, *d)
 	}
-	s.pipelineHist.ObserveDurationExemplar(d.Elapsed, d.TraceID)
 	logAttrs := make([]any, 0, 2*len(d.Stages)+10+len(attrs))
 	logAttrs = append(logAttrs,
 		"trace_id", d.TraceID,
@@ -716,7 +699,7 @@ func (s *Server) settle(v *verification, d *core.Decision, err error, errStatus 
 		}
 		logAttrs = append(logAttrs, "stage_"+st.Stage.MetricName(), st.Elapsed)
 	}
-	s.logger.Info("verify", logAttrs...)
+	s.logger.Info(v.fam.name, logAttrs...)
 	return true
 }
 
@@ -763,19 +746,26 @@ func (s *Server) Addr() string {
 // not deadlock the serving goroutine before Serve ever runs. Callers
 // that might miss the send poll Addr instead.
 func (s *Server) ListenAndServe(addr string, ready chan<- string) error {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := s.listen(addr, &s.addr, ready)
 	if err != nil {
 		return fmt.Errorf("server: listening on %s: %w", addr, err)
 	}
-	bound := ln.Addr().String()
-	s.mu.Lock()
-	s.addr = bound
-	s.mu.Unlock()
-	if ready != nil {
-		select {
-		case ready <- bound:
-		default:
-		}
-	}
 	return s.Serve(ln)
+}
+
+// listen binds addr, records the bound address in *bound and offers it
+// to ready with a non-blocking send (a nil ready is never ready).
+func (s *Server) listen(addr string, bound *string, ready chan<- string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	*bound = ln.Addr().String()
+	s.mu.Unlock()
+	select {
+	case ready <- ln.Addr().String():
+	default:
+	}
+	return ln, nil
 }

@@ -86,19 +86,9 @@ func (s *Server) StreamAddr() string {
 // blocks until Shutdown or listener failure, reporting the bound address
 // through ready exactly like ListenAndServe.
 func (s *Server) ListenAndServeStream(addr string, ready chan<- string) error {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := s.listen(addr, &s.streamAddr, ready)
 	if err != nil {
 		return fmt.Errorf("server: stream listening on %s: %w", addr, err)
-	}
-	bound := ln.Addr().String()
-	s.mu.Lock()
-	s.streamAddr = bound
-	s.mu.Unlock()
-	if ready != nil {
-		select {
-		case ready <- bound:
-		default:
-		}
 	}
 	return s.ServeStream(ln)
 }
@@ -212,7 +202,7 @@ func (s *Server) writeStreamFrame(conn net.Conn, f stream.Frame) error {
 }
 
 // sendStreamError answers a refused session with the same JSON envelope
-// writeJSONError sends on HTTP, wrapped in an error frame.
+// the HTTP routes send, wrapped in an error frame.
 func (s *Server) sendStreamError(conn net.Conn, traceID string, status, retryAfterSec int, msg string) {
 	f, err := protocol.StreamError(status, retryAfterSec, &protocol.VerifyResponse{Error: msg, TraceID: traceID})
 	if err != nil {
@@ -253,13 +243,12 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 // streamSession runs one session after the handshake: admission,
 // incremental evaluation frame by frame, one decision or error frame
 // back. It reports whether the session was decided before its finish
-// frame, leaving frames to drain. Admission and outcome accounting are
-// the ones handleVerify uses (admit, fail, settle); the stream adds only
-// its frame I/O, its time-to-decision histogram and its early-exit
-// counter. No payload bytes are kept past ApplyStreamFrame: the decoders
-// copy out what the verifier keeps.
+// frame, leaving frames to drain. Admission and accounting are every
+// route's admit, fail and settle; the stream adds its frame I/O, its
+// time-to-decision histogram and its early-exit counter. No payload
+// bytes are kept past ApplyStreamFrame.
 func (s *Server) streamSession(conn net.Conn, fr *stream.FrameReader) (early bool) {
-	v := &verification{transport: "stream", start: time.Now()}
+	v := &verification{fam: &s.verifies, transport: "stream", start: time.Now()}
 	var verifier *core.StreamVerifier
 	v.refuse = func(status, retryAfterSec int, msg string) {
 		if verifier != nil {
@@ -271,12 +260,8 @@ func (s *Server) streamSession(conn net.Conn, fr *stream.FrameReader) (early boo
 	// The streaming session outlives any single read, so its context is
 	// rooted here and bounded by the verify timeout when configured.
 	//lint:allow ctxfirst connection handler owns the session lifetime; there is no inbound request context
-	ctx := context.Background()
-	if s.verifyTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.verifyTimeout)
-		defer cancel()
-	}
+	ctx, cancel := s.deadline(context.Background())
+	defer cancel()
 	if !s.admit(v) {
 		return false
 	}

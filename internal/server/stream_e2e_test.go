@@ -36,6 +36,12 @@ func dualProtocolServerLogging(t *testing.T, logger *slog.Logger) (*Server, stri
 	if err != nil {
 		t.Fatal(err)
 	}
+	return dualProtocolServerSystem(t, sys, logger)
+}
+
+// dualProtocolServerSystem is dualProtocolServerLogging around sys.
+func dualProtocolServerSystem(t *testing.T, sys *core.System, logger *slog.Logger) (*Server, string, string) {
+	t.Helper()
 	srv, err := New(sys, logger, WithDecisionEndpoints())
 	if err != nil {
 		t.Fatal(err)

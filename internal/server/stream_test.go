@@ -436,7 +436,7 @@ func TestStreamVerifyTimeoutMapsToDeadline(t *testing.T) {
 // admission slot, so the next session is admitted and Shutdown returns
 // while the stage is still parked.
 func TestStreamVerifyTimeoutAbandonsHungStage(t *testing.T) {
-	sys, started, release := hungVerifySystem(t)
+	sys, started, release := parkedSystem(t, core.StageDistance, nil)
 	const timeout = 200 * time.Millisecond
 	srv, addr := streamTestServer(t, sys, WithVerifyTimeout(timeout), WithMaxInflightVerifies(1))
 	// Unpark the stages before the server's own cleanup shuts it down, so
