@@ -39,7 +39,7 @@ func TestProvenanceEnrollSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Enrolled users score their own voices: regenerate each enrollment
-	// voice with the same one-source draw rebuild.Enroll used.
+	// voice with the same one-source draw rebuild.TrainASV used.
 	for _, tc := range []struct {
 		name string
 		seed int64

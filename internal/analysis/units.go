@@ -110,11 +110,6 @@ func (u Unit) Sqrt() (Unit, bool) {
 	return out, true
 }
 
-// IsDimensionless reports whether u carries no dimensions and unit scale.
-func (u Unit) IsDimensionless() bool {
-	return u.Dims == dims{} && scaleEq(u.Scale, 1)
-}
-
 // Equal reports whether u and v agree in both dimensions and scale — the
 // condition for the two quantities to be addable or comparable.
 func (u Unit) Equal(v Unit) bool {

@@ -18,7 +18,6 @@ import (
 	"voiceguard/internal/dsp"
 	"voiceguard/internal/geometry"
 	"voiceguard/internal/magnetics"
-	"voiceguard/internal/ranging"
 	"voiceguard/internal/soundfield"
 	"voiceguard/internal/speech"
 	"voiceguard/internal/stats"
@@ -293,10 +292,4 @@ func driveFromSignal(s *audio.Signal) func(t float64) float64 {
 		}
 		return s.Samples[i]
 	}
-}
-
-// Pilot re-exports the ranging pilot for examples that want to show the
-// full capture chain.
-func Pilot(duration float64) *audio.Signal {
-	return ranging.Pilot(ranging.DefaultPilotHz, ranging.DefaultRate, duration)
 }

@@ -99,104 +99,6 @@ func TestReadWAVSkipsUnknownChunks(t *testing.T) {
 	}
 }
 
-func TestVADDetectsSpeechBurst(t *testing.T) {
-	const rate = 16000.0
-	s := NewSignal(1.5, rate)
-	burst := sine(300, rate, 0.5, 0.5)
-	// Low noise floor everywhere.
-	for i := range s.Samples {
-		s.Samples[i] = 0.001 * math.Sin(0.01*float64(i))
-	}
-	if err := s.MixInto(burst, 8000); err != nil {
-		t.Fatal(err)
-	}
-	cfg := VADConfig{}
-	mask := DetectActivity(s.Samples, cfg)
-	if len(mask) == 0 {
-		t.Fatal("no frames")
-	}
-	// Roughly the middle third should be active.
-	third := len(mask) / 3
-	var active int
-	for _, m := range mask[third : 2*third] {
-		if m {
-			active++
-		}
-	}
-	if active < third/2 {
-		t.Errorf("middle activity = %d/%d", active, third)
-	}
-	var leading int
-	for _, m := range mask[:third/2] {
-		if m {
-			leading++
-		}
-	}
-	if leading > third/8 {
-		t.Errorf("leading silence marked active: %d frames", leading)
-	}
-}
-
-func TestTrimSilence(t *testing.T) {
-	const rate = 16000.0
-	s := NewSignal(1.0, rate)
-	burst := sine(300, rate, 0.3, 0.5)
-	if err := s.MixInto(burst, 5600); err != nil {
-		t.Fatal(err)
-	}
-	trimmed := TrimSilence(s, VADConfig{})
-	if trimmed.Len() >= s.Len() {
-		t.Errorf("trim did not shrink: %d >= %d", trimmed.Len(), s.Len())
-	}
-	if trimmed.Len() < burst.Len()/2 {
-		t.Errorf("trim too aggressive: %d < %d", trimmed.Len(), burst.Len()/2)
-	}
-	// Fully silent signal trims to empty.
-	empty := TrimSilence(NewSignal(0.5, rate), VADConfig{})
-	if empty.Len() != 0 {
-		t.Errorf("silent trim len = %d", empty.Len())
-	}
-	if empty.Rate != rate {
-		t.Errorf("silent trim rate = %v", empty.Rate)
-	}
-}
-
-func TestActiveRatio(t *testing.T) {
-	const rate = 16000.0
-	loud := sine(300, rate, 1, 0.5)
-	if r := ActiveRatio(loud.Samples, VADConfig{}); r < 0.9 {
-		t.Errorf("constant tone active ratio = %v", r)
-	}
-	if r := ActiveRatio(nil, VADConfig{}); r != 0 {
-		t.Errorf("empty active ratio = %v", r)
-	}
-}
-
-func TestResample(t *testing.T) {
-	orig := sine(440, 48000, 0.1, 0.8)
-	down := Resample(orig, 16000)
-	if math.Abs(down.Duration()-orig.Duration()) > 0.01 {
-		t.Errorf("duration changed: %v vs %v", down.Duration(), orig.Duration())
-	}
-	if down.Rate != 16000 {
-		t.Errorf("rate = %v", down.Rate)
-	}
-	// The 440 Hz tone should survive with similar RMS.
-	if math.Abs(down.RMS()-orig.RMS()) > 0.05 {
-		t.Errorf("rms = %v vs %v", down.RMS(), orig.RMS())
-	}
-	// Identity resample copies.
-	same := Resample(orig, 48000)
-	same.Samples[0] = 99
-	if orig.Samples[0] == 99 {
-		t.Error("identity resample must copy")
-	}
-	up := Resample(down, 48000)
-	if math.Abs(up.Duration()-orig.Duration()) > 0.01 {
-		t.Errorf("upsample duration = %v", up.Duration())
-	}
-}
-
 func BenchmarkWAVRoundTrip(b *testing.B) {
 	s := sine(440, 16000, 1, 0.8)
 	b.ReportAllocs()
@@ -209,15 +111,6 @@ func BenchmarkWAVRoundTrip(b *testing.B) {
 		if _, err := ReadWAV(&buf); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkResample(b *testing.B) {
-	s := sine(440, 48000, 1, 0.8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Resample(s, 16000)
 	}
 }
 

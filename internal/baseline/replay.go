@@ -160,15 +160,6 @@ func (d *Detector) Score(s *audio.Signal) (float64, error) {
 	return d.model.Margin(f), nil
 }
 
-// IsLive classifies an utterance.
-func (d *Detector) IsLive(s *audio.Signal) (bool, error) {
-	score, err := d.Score(s)
-	if err != nil {
-		return false, err
-	}
-	return score >= 0, nil
-}
-
 func sortFloats(x []float64) {
 	for i := 1; i < len(x); i++ {
 		v := x[i]

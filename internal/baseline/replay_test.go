@@ -82,22 +82,22 @@ func TestDetectorBetterThanChanceButImperfect(t *testing.T) {
 	liveTest, repTest := corpus(t, 30, 4)
 	var correct, errors int
 	for _, s := range liveTest {
-		ok, err := d.IsLive(s)
+		score, err := d.Score(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok {
+		if score >= 0 {
 			correct++
 		} else {
 			errors++
 		}
 	}
 	for _, s := range repTest {
-		ok, err := d.IsLive(s)
+		score, err := d.Score(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if score < 0 {
 			correct++
 		} else {
 			errors++

@@ -125,12 +125,6 @@ func (p *RetryPolicy) after(d time.Duration) <-chan time.Time {
 	return time.After(d)
 }
 
-// DefaultRetryPolicy is a sane interactive-authentication policy: three
-// tries over roughly a third of a second.
-func DefaultRetryPolicy() *RetryPolicy {
-	return &RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}
-}
-
 // backoff returns the jittered delay before retry number retry (1-based),
 // honoring the server's Retry-After hint when it is longer.
 func (p *RetryPolicy) backoff(retry int, last error) time.Duration {
@@ -408,21 +402,6 @@ func (c *Client) get(path string) (*http.Response, error) {
 	return resp, nil
 }
 
-// RecentDecisions fetches the server's retained decision summaries,
-// newest first.
-func (c *Client) RecentDecisions() ([]telemetry.TraceSummary, error) {
-	resp, err := c.get("/debug/decisions")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var out []telemetry.TraceSummary
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decoding decision summaries: %w", err)
-	}
-	return out, nil
-}
-
 // Trace fetches one decision's full span tree by trace ID. The ID is
 // path-escaped: request IDs are client-chosen strings, and one holding
 // '/', '?', '#' or spaces must not reshape the URL.
@@ -437,31 +416,6 @@ func (c *Client) Trace(traceID string) (*telemetry.TraceRecord, error) {
 		return nil, fmt.Errorf("client: decoding trace %s: %w", traceID, err)
 	}
 	return rec, nil
-}
-
-// EvidencePack downloads one decision's evidence pack — the
-// self-contained digest-chained zip served by the server's opt-in
-// /debug/evidence/{trace_id} endpoint — as raw bytes, ready for
-// evidence.ReadBytes or a `voiceguard-trace pack verify` run.
-func (c *Client) EvidencePack(ctx context.Context, traceID string) ([]byte, error) {
-	path := "/debug/evidence/" + url.PathEscape(traceID)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: building request: %w", err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: fetching %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("client: %s returned status %d", path, resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("client: reading evidence pack %s: %w", traceID, err)
-	}
-	return data, nil
 }
 
 // DriftReport fetches the server's /debug/drift document: per-series
@@ -492,28 +446,6 @@ func (c *Client) DriftReport(ctx context.Context, timeline int) (*telemetry.Drif
 	return rep, nil
 }
 
-// PinDriftBaseline asks the server to snapshot the trailing window as
-// its drift baseline (0 uses the server's live window).
-func (c *Client) PinDriftBaseline(ctx context.Context, window time.Duration) error {
-	path := "/debug/drift/pin"
-	if window > 0 {
-		path += "?window=" + url.QueryEscape(window.String())
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, nil)
-	if err != nil {
-		return fmt.Errorf("client: building request: %w", err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("client: pinning drift baseline: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("client: %s returned status %d", path, resp.StatusCode)
-	}
-	return nil
-}
-
 // MetricsText fetches the raw Prometheus text exposition from /metrics
 // (voiceguard-top parses a few families out of it).
 func (c *Client) MetricsText(ctx context.Context) (string, error) {
@@ -534,18 +466,4 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 		return "", fmt.Errorf("client: reading metrics: %w", err)
 	}
 	return string(data), nil
-}
-
-// DumpDecisionsJSONL streams the server's retained traces as JSONL into
-// w — the offline input format of cmd/voiceguard-trace.
-func (c *Client) DumpDecisionsJSONL(w io.Writer) error {
-	resp, err := c.get("/debug/decisions.jsonl")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if _, err := io.Copy(w, resp.Body); err != nil {
-		return fmt.Errorf("client: streaming decision JSONL: %w", err)
-	}
-	return nil
 }

@@ -84,14 +84,6 @@ func NewEvidenceObserver(w *telemetry.WindowSet) *EvidenceObserver {
 	return o
 }
 
-// Windows returns the bound window set.
-func (o *EvidenceObserver) Windows() *telemetry.WindowSet {
-	if o == nil {
-		return nil
-	}
-	return o.windows
-}
-
 // ObserveDecision records every evidence value carried by the decision's
 // executed stages into the rolling windows. Nil-receiver safe; stages
 // that recorded no evidence (validation failures, abandoned stages)

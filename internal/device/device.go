@@ -107,9 +107,6 @@ type Loudspeaker struct {
 	GridMoment float64
 }
 
-// Conventional reports whether the unit uses a magnetic driver.
-func (l Loudspeaker) Conventional() bool { return l.MagnetMoment > 0 }
-
 // FieldSources returns the magnetic sources of the loudspeaker placed at
 // the given position with the given drive function (normalized audio
 // amplitude over time; nil for silence).

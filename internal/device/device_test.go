@@ -44,7 +44,7 @@ func TestCatalogMatchesTableIV(t *testing.T) {
 	classes := make(map[SpeakerClass]int)
 	for _, l := range cat {
 		classes[l.Class]++
-		if !l.Conventional() {
+		if l.MagnetMoment <= 0 {
 			t.Errorf("%s %s: Table IV speakers are all conventional", l.Maker, l.Model)
 		}
 		if l.ConeRadius <= 0 {
@@ -99,7 +99,7 @@ func TestFieldSources(t *testing.T) {
 		t.Errorf("silent sources = %d, want 1", n)
 	}
 	esl := Electrostatic()
-	if esl.Conventional() {
+	if esl.MagnetMoment > 0 {
 		t.Error("electrostatic should not be conventional")
 	}
 	if n := len(esl.FieldSources(pos, drive)); n != 1 {

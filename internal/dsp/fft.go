@@ -49,25 +49,9 @@ func IFFT(x []complex128) []complex128 {
 }
 
 // FFTReal computes the DFT of a real-valued signal and returns the full
-// complex spectrum of the same length. Power-of-two lengths run the
-// planned real-input path (one half-size complex transform plus an
-// unpack pass) and mirror the conjugate-symmetric upper half.
+// complex spectrum of the same length.
 func FFTReal(x []float64) []complex128 {
-	n := len(x)
-	c := make([]complex128, n)
-	p := PlanFFT(n)
-	if p != nil && p.canPackReal() {
-		m := n / 2
-		spec := make([]complex128, m+1)
-		// Lengths match the plan by construction, so the error is nil.
-		if err := p.RealForward(spec, x); err == nil {
-			copy(c, spec)
-			for k := m + 1; k < n; k++ {
-				c[k] = cmplx.Conj(spec[n-k])
-			}
-			return c
-		}
-	}
+	c := make([]complex128, len(x))
 	for i, v := range x {
 		c[i] = complex(v, 0)
 	}

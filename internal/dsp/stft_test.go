@@ -109,7 +109,7 @@ func TestSTFTFrameTime(t *testing.T) {
 func TestWindowProperties(t *testing.T) {
 	for _, w := range []Window{WindowRect, WindowHann, WindowHamming, WindowBlackman} {
 		t.Run(w.String(), func(t *testing.T) {
-			c, err := w.Coefficients(128)
+			c, err := w.SharedCoefficients(128)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,11 +129,11 @@ func TestWindowProperties(t *testing.T) {
 	if (Window(99)).String() != "unknown" {
 		t.Error("unknown window String")
 	}
-	if got, err := WindowHann.Coefficients(1); err != nil || len(got) != 1 || got[0] != 1 {
+	if got, err := WindowHann.SharedCoefficients(1); err != nil || len(got) != 1 || got[0] != 1 {
 		t.Errorf("length-1 window = %v (err %v)", got, err)
 	}
 	// Hann endpoints: periodic window starts at 0.
-	c, err := WindowHann.Coefficients(64)
+	c, err := WindowHann.SharedCoefficients(64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestWindowProperties(t *testing.T) {
 func TestWindowApply(t *testing.T) {
 	x := []float64{1, 1, 1, 1}
 	got := WindowHann.Apply(x)
-	want, err := WindowHann.Coefficients(4)
+	want, err := WindowHann.SharedCoefficients(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestWindowApply(t *testing.T) {
 }
 
 func TestWindowNegativeLengthError(t *testing.T) {
-	if _, err := WindowHann.Coefficients(-1); err == nil {
+	if _, err := WindowHann.SharedCoefficients(-1); err == nil {
 		t.Error("expected error on negative window length")
 	}
 }

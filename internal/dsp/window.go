@@ -29,21 +29,6 @@ func (w Window) String() string {
 	}
 }
 
-// Coefficients returns the n window coefficients for w. Periodic windows
-// (suitable for STFT) are produced: the denominator is n, not n-1. A
-// negative n is a configuration error and is returned as such. The table
-// is computed once per (window, size) and served from the shared cache;
-// the caller receives a private copy it may mutate freely.
-func (w Window) Coefficients(n int) ([]float64, error) {
-	cached, err := w.cachedCoefficients(n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	copy(out, cached)
-	return out, nil
-}
-
 func (w Window) at(i, n int) float64 {
 	if n == 1 {
 		return 1
@@ -61,11 +46,13 @@ func (w Window) at(i, n int) float64 {
 	}
 }
 
-// SharedCoefficients returns the cached coefficient table for (w, n)
-// without copying. The returned slice is shared across callers and MUST
-// be treated as read-only — mutate-and-reuse callers want Coefficients.
-// Hot paths (STFT, the MFCC front-end) use this to avoid rebuilding the
-// window per call.
+// SharedCoefficients returns the n window coefficients for w. Periodic
+// windows (suitable for STFT) are produced: the denominator is n, not
+// n-1. A negative n is a configuration error and is returned as such.
+// The table is computed once per (window, size) and shared across
+// callers, so the returned slice MUST be treated as read-only. Hot paths
+// (STFT, the MFCC front-end) use this to avoid rebuilding the window per
+// call.
 func (w Window) SharedCoefficients(n int) ([]float64, error) {
 	return w.cachedCoefficients(n)
 }

@@ -22,7 +22,6 @@ import (
 	"hash"
 	"io"
 	"math"
-	"strconv"
 )
 
 // DigestPrefix tags every canonical content digest with its algorithm, so
@@ -107,13 +106,4 @@ func ChainSeed() string { return Digest(nil) }
 // replay equality is bit-exact, not printf-exact.
 func FloatBits(f float64) string {
 	return fmt.Sprintf("%016x", math.Float64bits(f))
-}
-
-// BitsFloat parses a FloatBits rendering back into the float64.
-func BitsFloat(s string) (float64, error) {
-	bits, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return 0, fmt.Errorf("evidence: parsing float bits %q: %w", s, err)
-	}
-	return math.Float64frombits(bits), nil
 }

@@ -112,14 +112,6 @@ type recording struct {
 // DefaultPassphrase is the digit phrase used across experiments.
 const DefaultPassphrase = "472913"
 
-// EnvironmentLabel formats the environment for result tables.
-func EnvironmentLabel(kind magnetics.EnvironmentKind, shielded bool) string {
-	if shielded {
-		return kind.String() + "+mu-metal"
-	}
-	return kind.String()
-}
-
 // newScoreSet returns an empty score set (helper keeping battery.go free
 // of a direct stats import).
 func newScoreSet() *stats.ScoreSet { return &stats.ScoreSet{} }

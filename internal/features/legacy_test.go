@@ -35,7 +35,7 @@ func legacyExtract(s *audio.Signal, cfg MFCCConfig) ([][]float64, error) {
 		high = s.Rate / 2
 	}
 	bank := melFilterbank(cfg.NumFilters, fftSize, s.Rate, cfg.LowFreq, high)
-	win, err := dsp.WindowHamming.Coefficients(frameLen)
+	win, err := dsp.WindowHamming.SharedCoefficients(frameLen)
 	if err != nil {
 		return nil, err
 	}

@@ -110,14 +110,6 @@ func EstimateHeading(gyro, mag *sensors.Trace, cfg Config) (*HeadingEstimate, er
 	return est, nil
 }
 
-// TotalTurn returns the net heading change Δω over the estimate.
-func (h *HeadingEstimate) TotalTurn() float64 {
-	if len(h.Theta) == 0 {
-		return 0
-	}
-	return h.Theta[len(h.Theta)-1] - h.Theta[0]
-}
-
 // ThetaAt linearly interpolates the heading at time t, clamping to the
 // ends.
 // unit: t s, return rad

@@ -64,8 +64,8 @@ func TestEstimateHeadingTotalTurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(est.TotalTurn()-1.6) > 0.1 {
-		t.Errorf("total turn = %v, want ≈1.6", est.TotalTurn())
+	if turn := est.Theta[len(est.Theta)-1] - est.Theta[0]; math.Abs(turn-1.6) > 0.1 {
+		t.Errorf("total turn = %v, want ≈1.6", turn)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestThetaOmegaAtInterpolation(t *testing.T) {
 		t.Errorf("OmegaAt(1.5) = %v", got)
 	}
 	empty := &HeadingEstimate{}
-	if empty.ThetaAt(1) != 0 || empty.TotalTurn() != 0 {
+	if empty.ThetaAt(1) != 0 {
 		t.Error("empty estimate should return zeros")
 	}
 }

@@ -55,9 +55,8 @@ func TestExactKernelMatchesComponentLogLik(t *testing.T) {
 		}
 		frames[0][0] = math.Copysign(0, -1)
 		want := make([]float64, tc.frames)
-		comp := make([]float64, tc.k)
 		for i, x := range frames {
-			want[i] = g.logLikelihoodInto(x, comp)
+			want[i] = g.LogLikelihood(x)
 		}
 		got := make([]float64, tc.frames)
 		g.logLikelihoods(frames, got)
@@ -99,11 +98,10 @@ func TestExactKernelRaggedFrames(t *testing.T) {
 		}
 	}
 	frames[6] = frames[6][:3] // scalar scoring sums over the frame's own length
-	comp := make([]float64, 6)
 	got := make([]float64, len(frames))
 	g.logLikelihoods(frames, got)
 	for i, x := range frames {
-		if want := g.logLikelihoodInto(x, comp); math.Float64bits(got[i]) != math.Float64bits(want) {
+		if want := g.LogLikelihood(x); math.Float64bits(got[i]) != math.Float64bits(want) {
 			t.Fatalf("frame %d: %v, want %v", i, got[i], want)
 		}
 	}

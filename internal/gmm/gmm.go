@@ -310,13 +310,7 @@ func (g *GMM) componentLogLik(c int, x []float64) float64 {
 
 // LogLikelihood returns log p(x) under the mixture.
 func (g *GMM) LogLikelihood(x []float64) float64 {
-	return g.logLikelihoodInto(x, make([]float64, g.NumComponents()))
-}
-
-// logLikelihoodInto is LogLikelihood with caller-provided scratch for the
-// per-component terms, so scoring loops can evaluate frames without
-// allocating. len(lls) must equal NumComponents.
-func (g *GMM) logLikelihoodInto(x, lls []float64) float64 {
+	lls := make([]float64, g.NumComponents())
 	for c := range lls {
 		lls[c] = g.componentLogLik(c, x)
 	}

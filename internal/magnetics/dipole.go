@@ -133,9 +133,6 @@ func (s *Scene) FieldAt(p geometry.Vec3, t float64) geometry.Vec3 {
 	return b
 }
 
-// NumSources returns the number of registered sources.
-func (s *Scene) NumSources() int { return len(s.sources) }
-
 // OnAxisDipoleField returns the on-axis field magnitude in µT of a dipole
 // with moment m (A·m²) at distance r meters: B = 2·(µ0/4π)·m/r³. Useful
 // for calibrating catalog entries.

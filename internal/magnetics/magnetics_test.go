@@ -112,8 +112,8 @@ func TestSceneSumsSources(t *testing.T) {
 	d1 := Dipole{Moment: geometry.Vec3{Z: 0.05}}
 	d2 := Dipole{Position: geometry.Vec3{X: 1}, Moment: geometry.Vec3{Z: 0.05}}
 	s := NewScene(d1, d2)
-	if s.NumSources() != 2 {
-		t.Errorf("sources = %d", s.NumSources())
+	if len(s.sources) != 2 {
+		t.Errorf("sources = %d", len(s.sources))
 	}
 	p := geometry.Vec3{Z: 0.1}
 	sum := d1.FieldAt(p, 0).Add(d2.FieldAt(p, 0))
@@ -122,7 +122,7 @@ func TestSceneSumsSources(t *testing.T) {
 		t.Errorf("scene field %v, want %v", got, sum)
 	}
 	s.Add(Dipole{Moment: geometry.Vec3{X: 0.01}})
-	if s.NumSources() != 3 {
+	if len(s.sources) != 3 {
 		t.Error("Add failed")
 	}
 }

@@ -5,7 +5,6 @@ package server
 // the typed client helpers.
 
 import (
-	"bytes"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -82,10 +81,8 @@ func TestDebugEndpointsServeRejectionForensics(t *testing.T) {
 
 	// /debug/decisions: newest first, so the rejection leads, with the
 	// failing stage's evidence in the digest.
-	sums, err := c.RecentDecisions()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var sums []telemetry.TraceSummary
+	getJSON(t, ts.URL+DecisionsRoute, &sums)
 	if len(sums) != 2 {
 		t.Fatalf("got %d decision summaries, want 2", len(sums))
 	}
@@ -129,11 +126,12 @@ func TestDebugEndpointsServeRejectionForensics(t *testing.T) {
 	}
 
 	// /debug/decisions.jsonl: the export reparses into the same traces.
-	var buf bytes.Buffer
-	if err := c.DumpDecisionsJSONL(&buf); err != nil {
+	resp, err := http.Get(ts.URL + DecisionsJSONLRoute)
+	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := telemetry.ReadJSONL(&buf)
+	recs, err := telemetry.ReadJSONL(resp.Body)
+	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +184,8 @@ func TestTraceSamplingDisablesRecording(t *testing.T) {
 	if res.Response.TraceID == "" {
 		t.Error("sampling off must not strip the response trace ID")
 	}
-	sums, err := c.RecentDecisions()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var sums []telemetry.TraceSummary
+	getJSON(t, ts.URL+DecisionsRoute, &sums)
 	if len(sums) != 0 {
 		t.Fatalf("sampling off still recorded %d decisions", len(sums))
 	}
@@ -246,10 +242,8 @@ func TestCustomTracerWithoutRecorderGetsServerRing(t *testing.T) {
 	if _, err := c.Verify(genuine); err != nil {
 		t.Fatal(err)
 	}
-	sums, err := c.RecentDecisions()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var sums []telemetry.TraceSummary
+	getJSON(t, ts.URL+DecisionsRoute, &sums)
 	if len(sums) != 1 {
 		t.Fatalf("custom recorder-less tracer recorded %d decisions, want 1", len(sums))
 	}

@@ -8,9 +8,11 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -63,8 +65,13 @@ func TestDriftEndpointLifecycle(t *testing.T) {
 		w.ObserveEvidence(fieldID, 0.5+0.05*float64(i%8))
 		w.ObserveVerify(telemetry.OutcomeAccepted, 100*time.Millisecond)
 	}
-	if err := c.PinDriftBaseline(context.Background(), 5*time.Minute); err != nil {
+	resp, err := http.Post(ts.URL+DriftPinRoute+"?window=5m", "", nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s returned %d", DriftPinRoute, resp.StatusCode)
 	}
 
 	// Attack-shaped live traffic: loudspeaker swings far above baseline.
@@ -123,6 +130,89 @@ func TestDriftEndpointLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestDriftReportGolden pins the /debug/drift document byte for byte:
+// field order and omitempty rules with a pinned baseline, series that saw
+// no traffic, both SLOs and a timeline. The process samples (heap,
+// goroutines, GC pause) and the wall-clock generation time vary per run
+// and are masked; everything else follows the fake window clock.
+func TestDriftReportGolden(t *testing.T) {
+	clock := newDriftClock()
+	sys, err := core.BuildSystem(core.SystemConfig{FieldSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(sys, nil,
+		WithWindowConfig(telemetry.WindowConfig{Now: clock.Now, LatencyGoodUnder: time.Second}),
+		WithSLO(0.999, 0.99, time.Second),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	w := srv.Windows()
+	fieldID, ok := w.SeriesByName("loudspeaker", core.EvidenceFieldUT)
+	if !ok {
+		t.Fatal("field_ut series not registered")
+	}
+	for i := 0; i < 40; i++ {
+		w.ObserveEvidence(fieldID, 0.5+0.05*float64(i%8))
+		w.ObserveVerify(telemetry.OutcomeAccepted, 100*time.Millisecond)
+	}
+	resp, err := http.Post(ts.URL+DriftPinRoute+"?window=5m", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	clock.Advance(time.Minute)
+	for i := 0; i < 20; i++ {
+		w.ObserveEvidence(fieldID, 25+float64(i%10))
+		w.ObserveVerify(telemetry.OutcomeRejected, 2*time.Second)
+	}
+
+	resp, err = http.Get(ts.URL + DriftRoute + "?timeline=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := regexp.MustCompile(`"(generated_unix|heap_bytes|goroutines|gc_pause_total_us)":[0-9]+`).
+		ReplaceAllString(string(body), `"$1":0`)
+	if got != driftGolden {
+		t.Errorf("/debug/drift body:\n%s\nwant:\n%s", got, driftGolden)
+	}
+}
+
+const driftGolden = `{"generated_unix":0,"baseline_pinned_unix":1786179600,"baseline_window":"5m0s","live_window":"5m0s","alert_psi":0.25,"drift":[` +
+	`{"stage":"distance","metric":"distance_cm","psi":0,"ks":0,"alert":false,"live_count":0,"baseline_count":0},` +
+	`{"stage":"soundfield","metric":"svm_margin","psi":0,"ks":0,"alert":false,"live_count":0,"baseline_count":0},` +
+	`{"stage":"loudspeaker","metric":"field_ut","psi":1.129941586108319,"ks":0.33333333333333326,"alert":true,"live_count":60,"baseline_count":40,"live_mean":10.283333333333333,"baseline_mean":0.6750000000000002},` +
+	`{"stage":"loudspeaker","metric":"beta_ut_per_s","psi":0,"ks":0,"alert":false,"live_count":0,"baseline_count":0},` +
+	`{"stage":"identity","metric":"llr","psi":0,"ks":0,"alert":false,"live_count":0,"baseline_count":0}],"burn":[` +
+	`{"slo":"availability","window":"5m","burn":0,"bad_ratio":0,"total":60},` +
+	`{"slo":"latency","window":"5m","burn":33.3333333333333,"bad_ratio":0.3333333333333333,"total":60},` +
+	`{"slo":"availability","window":"1h","burn":0,"bad_ratio":0,"total":60},` +
+	`{"slo":"latency","window":"1h","burn":33.3333333333333,"bad_ratio":0.3333333333333333,"total":60},` +
+	`{"slo":"availability","window":"6h","burn":0,"bad_ratio":0,"total":60},` +
+	`{"slo":"latency","window":"6h","burn":33.3333333333333,"bad_ratio":0.3333333333333333,"total":60}],"resources":{"heap_bytes":0,"goroutines":0,"gc_pause_total_us":0,"samples":1},` +
+	`"timeline":[` +
+	`{"unix":1786179600,"accepted":40,"rejected":0,"latency_mean_us":100000,"series":[` +
+	`{"stage":"distance","metric":"distance_cm","count":0},` +
+	`{"stage":"soundfield","metric":"svm_margin","count":0},` +
+	`{"stage":"loudspeaker","metric":"field_ut","count":40,"mean":0.6750000000000002},` +
+	`{"stage":"loudspeaker","metric":"beta_ut_per_s","count":0},` +
+	`{"stage":"identity","metric":"llr","count":0}]},` +
+	`{"unix":1786179660,"accepted":0,"rejected":20,"latency_mean_us":2000000,"heap_bytes":0,"goroutines":0,"series":[` +
+	`{"stage":"distance","metric":"distance_cm","count":0},` +
+	`{"stage":"soundfield","metric":"svm_margin","count":0},` +
+	`{"stage":"loudspeaker","metric":"field_ut","count":20,"mean":29.5},` +
+	`{"stage":"loudspeaker","metric":"beta_ut_per_s","count":0},` +
+	`{"stage":"identity","metric":"llr","count":0}]}]}` + "\n"
 
 func TestDriftEndpointDisabled(t *testing.T) {
 	sys, err := core.BuildSystem(core.SystemConfig{FieldSeed: 1})

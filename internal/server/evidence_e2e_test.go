@@ -12,6 +12,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -109,12 +111,17 @@ func TestEvidenceRoundTripEndToEnd(t *testing.T) {
 		t.Fatalf("replay attack accepted: %+v", repRes.Response)
 	}
 
-	// Download both packs through the client and verify them offline.
+	// Download both packs and verify them offline.
 	packs := map[string]*evidence.Pack{}
 	for _, traceID := range []string{genRes.TraceID, repRes.TraceID} {
-		data, err := cli.EvidencePack(ctx, traceID)
+		resp, err := http.Get(ts.URL + EvidenceRoute + traceID)
 		if err != nil {
-			t.Fatalf("downloading pack %s: %v", traceID, err)
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("downloading pack %s: status %d, %v", traceID, resp.StatusCode, err)
 		}
 		p, err := evidence.ReadBytes(data)
 		if err != nil {

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"voiceguard/internal/audio"
 	"voiceguard/internal/core"
 	"voiceguard/internal/protocol"
 	"voiceguard/internal/ranging"
@@ -55,15 +54,7 @@ func TestOversizedUploadsAnswer413(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg := make(map[string][][]*audio.Signal)
-	for spk, us := range speech.BySpeaker(utts) {
-		var sess []*audio.Signal
-		for _, u := range us {
-			sess = append(sess, u.Audio)
-		}
-		bg[spk] = [][]*audio.Signal{sess}
-	}
-	verifier, err := core.TrainSpeakerVerifier(bg, core.SpeakerVerifierConfig{Components: 4, Seed: 901})
+	verifier, err := core.TrainSpeakerVerifier(speech.BySpeakerSession(utts), core.SpeakerVerifierConfig{Components: 4, Seed: 901})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,15 +183,6 @@ func (r *Roster) Generate(cfg CorpusConfig) ([]Utterance, error) {
 	return out, nil
 }
 
-// BySpeaker groups utterances by speaker name.
-func BySpeaker(utts []Utterance) map[string][]Utterance {
-	out := make(map[string][]Utterance)
-	for _, u := range utts {
-		out[u.Speaker] = append(out[u.Speaker], u)
-	}
-	return out
-}
-
 // BySpeakerSession groups utterance audio speaker → session →
 // utterances, the shape core.TrainSpeakerVerifier consumes. Each
 // speaker's sessions are indexed 0 through its highest session number,

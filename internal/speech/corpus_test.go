@@ -69,13 +69,13 @@ func TestGenerateCorpus(t *testing.T) {
 			t.Errorf("%s sess %d: near-silent audio (rms=%v)", u.Speaker, u.Session, u.Audio.RMS())
 		}
 	}
-	grouped := BySpeaker(utts)
+	grouped := BySpeakerSession(utts)
 	if len(grouped) != 2 {
 		t.Errorf("speakers = %d", len(grouped))
 	}
-	for name, g := range grouped {
-		if len(g) != 4 {
-			t.Errorf("%s has %d utterances", name, len(g))
+	for name, sessions := range grouped {
+		if len(sessions) != 2 || len(sessions[0]) != 2 || len(sessions[1]) != 2 {
+			t.Errorf("%s sessions = %d, want 2 of 2 utterances", name, len(sessions))
 		}
 	}
 }

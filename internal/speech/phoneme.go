@@ -70,21 +70,6 @@ var digitPhonemes = map[rune][]string{
 	'9': {"N", "AY", "N"},
 }
 
-// LookupPhoneme returns the inventory entry for the given label.
-func LookupPhoneme(name string) (Phoneme, bool) {
-	p, ok := phonemes[name]
-	return p, ok
-}
-
-// PhonemeNames returns the labels of all inventory phonemes (unordered).
-func PhonemeNames() []string {
-	out := make([]string, 0, len(phonemes))
-	for k := range phonemes {
-		out = append(out, k)
-	}
-	return out
-}
-
 // DigitsToPhonemes expands a digit string ("472913") into a phoneme
 // sequence with inter-digit pauses. It returns an error on any non-digit
 // rune.

@@ -29,12 +29,6 @@ func NewSynthesizer(p Profile, rng *rand.Rand) (*Synthesizer, error) {
 	return &Synthesizer{profile: p, rate: DefaultRate, rng: rng}, nil
 }
 
-// Profile returns the speaker profile being rendered.
-func (s *Synthesizer) Profile() Profile { return s.profile }
-
-// Rate returns the synthesis sample rate in Hz.
-func (s *Synthesizer) Rate() float64 { return s.rate }
-
 // SayDigits renders the given digit string as a single utterance.
 func (s *Synthesizer) SayDigits(digits string) (*audio.Signal, error) {
 	seq, err := DigitsToPhonemes(digits)

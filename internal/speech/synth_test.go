@@ -246,7 +246,7 @@ func TestAllDigitsHavePhonemes(t *testing.T) {
 			t.Errorf("digit %c has too few phonemes", d)
 		}
 		for _, ph := range seq {
-			if _, ok := LookupPhoneme(ph.Name); !ok {
+			if _, ok := phonemes[ph.Name]; !ok {
 				t.Errorf("digit %c refers to unknown phoneme %q", d, ph.Name)
 			}
 		}
@@ -254,11 +254,7 @@ func TestAllDigitsHavePhonemes(t *testing.T) {
 }
 
 func TestPhonemeInventoryConsistency(t *testing.T) {
-	for _, name := range PhonemeNames() {
-		ph, ok := LookupPhoneme(name)
-		if !ok {
-			t.Fatalf("inventory lists %q but lookup fails", name)
-		}
+	for name, ph := range phonemes {
 		if ph.Dur <= 0 {
 			t.Errorf("%s: nonpositive duration", name)
 		}
