@@ -220,7 +220,7 @@ func render(ctx context.Context, c *client.Client, timeline int) (string, error)
 
 	if len(rep.Burn) > 0 {
 		b.WriteString("\nslo burn (budget multiples; >1 = burning budget)\n")
-		bySLO := map[string][]telemetry.BurnEntry{}
+		bySLO := map[string][]telemetry.BurnRate{}
 		var names []string
 		for _, e := range rep.Burn {
 			if _, ok := bySLO[e.SLO]; !ok {

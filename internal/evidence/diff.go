@@ -25,7 +25,13 @@ func DiffPacks(a, b *Pack) []string {
 		case pr.b == nil:
 			out = append(out, fmt.Sprintf("decision %s: only in first pack", pr.a.TraceID))
 		default:
-			out = append(out, diffDecision(*pr.a, *pr.b)...)
+			id := pr.a.TraceID
+			if pr.b.TraceID != id {
+				id += " vs " + pr.b.TraceID
+			}
+			for _, d := range DiffDecision(*pr.a, *pr.b) {
+				out = append(out, "decision "+id+": "+d)
+			}
 		}
 	}
 	return out
@@ -87,43 +93,32 @@ func pairDecisions(a, b *Pack) []decisionPair {
 	return pairs
 }
 
-// diffDecision compares one matched decision pair stage-by-stage.
-func diffDecision(a, b DecisionRecord) []string {
+// DiffDecision lists the divergences between two records of one
+// decision: the verdict, the failed stage, and each stage's pass bit and
+// score bits. Trace IDs and elapsed times are not compared.
+func DiffDecision(a, b DecisionRecord) []string {
 	var out []string
-	id := a.TraceID
-	if b.TraceID != id {
-		id = a.TraceID + " vs " + b.TraceID
-	}
 	if a.Accepted != b.Accepted {
-		out = append(out, fmt.Sprintf("decision %s: verdict accepted=%v vs accepted=%v",
-			id, a.Accepted, b.Accepted))
+		out = append(out, fmt.Sprintf("verdict accepted=%v vs accepted=%v", a.Accepted, b.Accepted))
 	}
 	if a.FailedStage != b.FailedStage {
-		out = append(out, fmt.Sprintf("decision %s: failed stage %q vs %q",
-			id, a.FailedStage, b.FailedStage))
+		out = append(out, fmt.Sprintf("failed stage %q vs %q", a.FailedStage, b.FailedStage))
 	}
 	if len(a.Stages) != len(b.Stages) {
-		out = append(out, fmt.Sprintf("decision %s: %d stage results vs %d",
-			id, len(a.Stages), len(b.Stages)))
+		out = append(out, fmt.Sprintf("%d stage results vs %d", len(a.Stages), len(b.Stages)))
 	}
-	n := len(a.Stages)
-	if len(b.Stages) < n {
-		n = len(b.Stages)
-	}
-	for i := 0; i < n; i++ {
+	for i := range min(len(a.Stages), len(b.Stages)) {
 		sa, sb := a.Stages[i], b.Stages[i]
 		if sa.Stage != sb.Stage {
-			out = append(out, fmt.Sprintf("decision %s: stage %d is %q vs %q",
-				id, i+1, sa.Stage, sb.Stage))
+			out = append(out, fmt.Sprintf("stage %d is %q vs %q", i+1, sa.Stage, sb.Stage))
 			continue
 		}
 		if sa.Pass != sb.Pass {
-			out = append(out, fmt.Sprintf("decision %s: stage %s pass=%v vs pass=%v",
-				id, sa.Stage, sa.Pass, sb.Pass))
+			out = append(out, fmt.Sprintf("stage %s pass=%v vs pass=%v", sa.Stage, sa.Pass, sb.Pass))
 		}
 		if sa.ScoreBits != sb.ScoreBits {
-			out = append(out, fmt.Sprintf("decision %s: stage %s score %v (bits %s) vs %v (bits %s)",
-				id, sa.Stage, sa.Score, sa.ScoreBits, sb.Score, sb.ScoreBits))
+			out = append(out, fmt.Sprintf("stage %s score %v (bits %s) vs %v (bits %s)",
+				sa.Stage, sa.Score, sa.ScoreBits, sb.Score, sb.ScoreBits))
 		}
 	}
 	return out

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"voiceguard/internal/audio"
 	"voiceguard/internal/core"
@@ -180,7 +181,7 @@ func CheckModels(p *evidence.Pack, sys *core.System) error {
 		}
 	}
 	if len(diffs) > 0 {
-		return fmt.Errorf("rebuild: model digests diverge:\n  %s", joinLines(diffs))
+		return fmt.Errorf("rebuild: model digests diverge:\n  %s", strings.Join(diffs, "\n  "))
 	}
 	return nil
 }
@@ -193,7 +194,8 @@ type ReplayResult struct {
 	// the packed one (verdict, failed stage, per-stage pass bits and
 	// score bits).
 	Match bool
-	// Diffs lists every divergence when Match is false.
+	// Diffs lists every divergence when Match is false, the packed
+	// decision's side first (evidence.DiffDecision).
 	Diffs []string
 	// Replayed is the reproduced decision in pack record form.
 	Replayed evidence.DecisionRecord
@@ -234,60 +236,9 @@ func Replay(p *evidence.Pack, sys *core.System) ([]ReplayResult, error) {
 			return nil, fmt.Errorf("rebuild: replaying session %s: %w", env.TraceID, err)
 		}
 		res.Replayed = core.DecisionEvidence(decision)
-		res.Diffs = compareDecisions(want, res.Replayed)
+		res.Diffs = evidence.DiffDecision(want, res.Replayed)
 		res.Match = len(res.Diffs) == 0
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-// compareDecisions lists the bit-level divergences between the packed
-// and replayed forms of one decision. Trace IDs and elapsed times are
-// expected to differ and are not compared.
-func compareDecisions(want, got evidence.DecisionRecord) []string {
-	var diffs []string
-	if want.Accepted != got.Accepted {
-		diffs = append(diffs, fmt.Sprintf("verdict: pack accepted=%v, replay accepted=%v",
-			want.Accepted, got.Accepted))
-	}
-	if want.FailedStage != got.FailedStage {
-		diffs = append(diffs, fmt.Sprintf("failed stage: pack %q, replay %q",
-			want.FailedStage, got.FailedStage))
-	}
-	if len(want.Stages) != len(got.Stages) {
-		diffs = append(diffs, fmt.Sprintf("stage count: pack %d, replay %d",
-			len(want.Stages), len(got.Stages)))
-	}
-	n := len(want.Stages)
-	if len(got.Stages) < n {
-		n = len(got.Stages)
-	}
-	for i := 0; i < n; i++ {
-		ws, gs := want.Stages[i], got.Stages[i]
-		if ws.Stage != gs.Stage {
-			diffs = append(diffs, fmt.Sprintf("stage %d: pack %q, replay %q", i+1, ws.Stage, gs.Stage))
-			continue
-		}
-		if ws.Pass != gs.Pass {
-			diffs = append(diffs, fmt.Sprintf("stage %s: pack pass=%v, replay pass=%v",
-				ws.Stage, ws.Pass, gs.Pass))
-		}
-		if ws.ScoreBits != gs.ScoreBits {
-			diffs = append(diffs, fmt.Sprintf("stage %s: pack score %v (bits %s), replay score %v (bits %s)",
-				ws.Stage, ws.Score, ws.ScoreBits, gs.Score, gs.ScoreBits))
-		}
-	}
-	return diffs
-}
-
-// joinLines joins diff lines with the indentation Replay's error uses.
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
 }

@@ -165,14 +165,20 @@ func TestReplayDetectsTamperedVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diverged := false
+	var diffs []string
 	for _, r := range results {
 		if r.TraceID == "t-genuine" && !r.Match {
-			diverged = true
+			diffs = r.Diffs
 		}
 	}
-	if !diverged {
+	if diffs == nil {
 		t.Fatal("tampered verdict replayed as a match")
+	}
+	joined := strings.Join(diffs, "\n")
+	for _, field := range []string{"verdict", "failed stage"} {
+		if !strings.Contains(joined, field) {
+			t.Errorf("divergence report does not name the %s:\n%s", field, joined)
+		}
 	}
 }
 

@@ -100,15 +100,7 @@ type VoiceprintRequest struct {
 
 // EncodeVoiceprint serializes and gzips a voiceprint request.
 func EncodeVoiceprint(req *VoiceprintRequest) ([]byte, error) {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(zw).Encode(req); err != nil {
-		return nil, fmt.Errorf("protocol: encoding voiceprint request: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("protocol: closing gzip stream: %w", err)
-	}
-	return buf.Bytes(), nil
+	return encodeBody("voiceprint request", req)
 }
 
 // DecodeVoiceprint ungzips and parses a voiceprint request in one pass.
@@ -202,15 +194,7 @@ func SessionsFromEnroll(req *EnrollRequest) ([][]*audio.Signal, error) {
 
 // EncodeEnroll serializes and gzips an enrollment request.
 func EncodeEnroll(req *EnrollRequest) ([]byte, error) {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(zw).Encode(req); err != nil {
-		return nil, fmt.Errorf("protocol: encoding enrollment request: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("protocol: closing gzip stream: %w", err)
-	}
-	return buf.Bytes(), nil
+	return encodeBody("enrollment request", req)
 }
 
 // DecodeEnroll ungzips and parses an enrollment request in one pass.
@@ -224,10 +208,16 @@ func DecodeEnroll(r io.Reader) (*EnrollRequest, error) {
 
 // EncodeRequest serializes and gzips a request.
 func EncodeRequest(req *VerifyRequest) ([]byte, error) {
+	return encodeBody("request", req)
+}
+
+// encodeBody serializes v as JSON into a gzip stream, the body format
+// decodeBody reads; what names the body in errors.
+func encodeBody(what string, v any) ([]byte, error) {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(zw).Encode(req); err != nil {
-		return nil, fmt.Errorf("protocol: encoding request: %w", err)
+	if err := json.NewEncoder(zw).Encode(v); err != nil {
+		return nil, fmt.Errorf("protocol: encoding %s: %w", what, err)
 	}
 	if err := zw.Close(); err != nil {
 		return nil, fmt.Errorf("protocol: closing gzip stream: %w", err)

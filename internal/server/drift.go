@@ -166,44 +166,17 @@ func (s *Server) DriftReport(timeline int) telemetry.DriftReport {
 		rep.BaselinePinnedUnix = b.PinnedUnix
 		rep.BaselineWindow = b.Window.String()
 	}
-	for _, ds := range s.windows.Drift() {
-		e := telemetry.DriftEntry{
-			Stage: ds.Stage, Metric: ds.Metric,
-			PSI: ds.PSI, KS: ds.KS,
-			Alert:     ds.PSI > DefaultDriftAlertPSI,
-			LiveCount: ds.LiveCount, BaselineCount: ds.BaselineCount,
-		}
-		if !isNaN(ds.LiveMean) {
-			e.LiveMean = ds.LiveMean
-		}
-		if !isNaN(ds.BaselineMean) {
-			e.BaselineMean = ds.BaselineMean
-		}
-		rep.Drift = append(rep.Drift, e)
+	rep.Drift = s.windows.Drift()
+	for i := range rep.Drift {
+		rep.Drift[i].Alert = rep.Drift[i].PSI > DefaultDriftAlertPSI
 	}
 	if s.sloConfigured() {
-		for _, br := range s.windows.BurnRates(s.slo, nil) {
-			rep.Burn = append(rep.Burn, telemetry.BurnEntry{
-				SLO: br.SLO, Window: br.Window,
-				Burn: br.Burn, BadRatio: br.BadRatio, Total: br.Total,
-			})
-		}
+		rep.Burn = s.windows.BurnRates(s.slo, nil)
 	}
-	u := s.windows.Resources()
-	rep.Resources = telemetry.ResourceEntry{
-		HeapBytes:             u.HeapBytes,
-		Goroutines:            u.Goroutines,
-		GCPauseTotalUS:        u.GCPauseTotalUS,
-		AllocPerDecisionBytes: u.AllocPerDecisionBytes,
-		GCPausePerDecisionUS:  u.GCPausePerDecisionUS,
-		Samples:               u.Samples,
-	}
+	rep.Resources = s.windows.Resources()
 	rep.Timeline = s.windows.Timeline(timeline)
 	return rep
 }
-
-// isNaN avoids importing math for two call sites.
-func isNaN(f float64) bool { return f != f }
 
 // PinDriftBaseline snapshots the trailing lookback as the drift
 // baseline (0 uses the live window).

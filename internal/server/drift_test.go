@@ -91,7 +91,7 @@ func TestDriftEndpointLifecycle(t *testing.T) {
 	if rep.AlertPSI != DefaultDriftAlertPSI {
 		t.Errorf("alert threshold = %v, want %v", rep.AlertPSI, DefaultDriftAlertPSI)
 	}
-	var fieldEntry *telemetry.DriftEntry
+	var fieldEntry *telemetry.DriftScore
 	for i := range rep.Drift {
 		if rep.Drift[i].Metric == core.EvidenceFieldUT {
 			fieldEntry = &rep.Drift[i]

@@ -1,56 +1,9 @@
 package telemetry
 
-// JSON shapes for the /debug/drift endpoint, shared by the server (which
-// renders them), the client (which decodes them), and voiceguard-top
-// (which displays them). Keeping them here avoids a client→server import.
-
-// DriftEntry is one series' drift score as serialized on /debug/drift.
-type DriftEntry struct {
-	// Stage and Metric identify the evidence series.
-	Stage  string `json:"stage"`
-	Metric string `json:"metric"`
-	// PSI and KS are the live-vs-baseline drift statistics (0 without a
-	// baseline or traffic).
-	PSI float64 `json:"psi"` // unit: dimensionless
-	KS  float64 `json:"ks"`  // unit: dimensionless
-	// Alert is true when PSI exceeds the configured alert threshold.
-	Alert bool `json:"alert"`
-	// LiveCount / BaselineCount are the compared window sample counts.
-	LiveCount     int64 `json:"live_count"`
-	BaselineCount int64 `json:"baseline_count"`
-	// LiveMean / BaselineMean are the window means (omitted when empty).
-	LiveMean     float64 `json:"live_mean,omitempty"`     // unit: any
-	BaselineMean float64 `json:"baseline_mean,omitempty"` // unit: any
-}
-
-// BurnEntry is one SLO burn rate as serialized on /debug/drift.
-type BurnEntry struct {
-	// SLO names the objective; Window labels the lookback ("5m"...).
-	SLO    string `json:"slo"`
-	Window string `json:"window"`
-	// Burn is badRatio / errorBudget; BadRatio the observed violation
-	// fraction; Total the attempts in the window.
-	Burn     float64 `json:"burn"`      // unit: dimensionless
-	BadRatio float64 `json:"bad_ratio"` // unit: dimensionless
-	Total    int64   `json:"total"`
-}
-
-// ResourceEntry summarizes the sampled process state on /debug/drift.
-type ResourceEntry struct {
-	// HeapBytes / Goroutines are the latest sampled values.
-	HeapBytes  int64 `json:"heap_bytes"`
-	Goroutines int64 `json:"goroutines"`
-	// GCPauseTotalUS is the cumulative GC pause at the latest sample.
-	GCPauseTotalUS int64 `json:"gc_pause_total_us"` // unit: µs
-	// AllocPerDecisionBytes / GCPausePerDecisionUS attribute the live
-	// window's cumulative-counter deltas to decided verifies.
-	AllocPerDecisionBytes float64 `json:"alloc_per_decision_bytes,omitempty"` // unit: any
-	GCPausePerDecisionUS  float64 `json:"gc_pause_per_decision_us,omitempty"` // unit: µs
-	// Samples is how many sampled fine-ring slots fed the summary.
-	Samples int `json:"samples"`
-}
-
-// DriftReport is the full /debug/drift JSON document.
+// DriftReport is the full /debug/drift JSON document, shared by the
+// server (which renders it), the client (which decodes it), and
+// voiceguard-top (which displays it). Keeping it here avoids a
+// client→server import.
 type DriftReport struct {
 	// GeneratedUnix is when the report was computed (seconds).
 	GeneratedUnix int64 `json:"generated_unix"`
@@ -63,11 +16,11 @@ type DriftReport struct {
 	// AlertPSI is the PSI threshold above which a series alerts.
 	AlertPSI float64 `json:"alert_psi"` // unit: dimensionless
 	// Drift holds one entry per registered evidence series.
-	Drift []DriftEntry `json:"drift"`
+	Drift []DriftScore `json:"drift"`
 	// Burn holds the multi-window SLO burn rates (empty without SLOs).
-	Burn []BurnEntry `json:"burn,omitempty"`
+	Burn []BurnRate `json:"burn,omitempty"`
 	// Resources summarizes the live window's process samples.
-	Resources ResourceEntry `json:"resources"`
+	Resources ResourceUsage `json:"resources"`
 	// Timeline lists the recent fine-ring slots, oldest first.
 	Timeline []TimelinePoint `json:"timeline,omitempty"`
 }

@@ -16,6 +16,7 @@ package telemetry
 
 import (
 	"math"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -445,18 +446,26 @@ func (w *WindowSet) PinBaseline(lookback time.Duration) *Baseline {
 // Baseline returns the pinned baseline (nil before any pin).
 func (w *WindowSet) Baseline() *Baseline { return w.baseline.Load() }
 
-// DriftScore is one series' live-vs-baseline comparison.
+// DriftScore is one series' live-vs-baseline comparison, in the form
+// /debug/drift serializes it.
 type DriftScore struct {
 	// Stage and Metric identify the series.
-	Stage, Metric string
+	Stage  string `json:"stage"`
+	Metric string `json:"metric"`
 	// PSI is the population stability index between the live window and
 	// the baseline; KS the binned two-sample Kolmogorov–Smirnov
 	// statistic. Both are 0 when either window is empty.
-	PSI, KS float64 // unit: psi dimensionless, ks dimensionless
+	PSI float64 `json:"psi"` // unit: dimensionless
+	KS  float64 `json:"ks"`  // unit: dimensionless
+	// Alert is true when PSI exceeds the report's alert threshold; Drift
+	// leaves it false and the report sets it.
+	Alert bool `json:"alert"`
 	// LiveCount and BaselineCount are the window sample counts.
-	LiveCount, BaselineCount int64
-	// LiveMean and BaselineMean are the window means (NaN when empty).
-	LiveMean, BaselineMean float64 // unit: any
+	LiveCount     int64 `json:"live_count"`
+	BaselineCount int64 `json:"baseline_count"`
+	// LiveMean and BaselineMean are the window means (0 when empty).
+	LiveMean     float64 `json:"live_mean,omitempty"`     // unit: any
+	BaselineMean float64 `json:"baseline_mean,omitempty"` // unit: any
 }
 
 // Drift scores every series' live window against the pinned baseline.
@@ -466,15 +475,16 @@ func (w *WindowSet) Drift() []DriftScore {
 	out := make([]DriftScore, len(w.defs))
 	for i, def := range w.defs {
 		live := w.SeriesDist(SeriesID(i), w.cfg.LiveWindow)
-		ds := DriftScore{
-			Stage: def.Stage, Metric: def.Metric,
-			LiveCount: live.Total, LiveMean: live.Mean(),
-			BaselineMean: math.NaN(),
+		ds := DriftScore{Stage: def.Stage, Metric: def.Metric, LiveCount: live.Total}
+		if live.Total > 0 {
+			ds.LiveMean = live.Mean()
 		}
 		if b != nil && i < len(b.Dists) {
 			ref := b.Dists[i]
 			ds.BaselineCount = ref.Total
-			ds.BaselineMean = ref.Mean()
+			if ref.Total > 0 {
+				ds.BaselineMean = ref.Mean()
+			}
 			ds.PSI = PSI(live, ref)
 			ds.KS = KSStat(live, ref)
 		}
@@ -553,15 +563,15 @@ type SLOConfig struct {
 // classic page condition.
 type BurnRate struct {
 	// SLO names the objective ("availability", "latency").
-	SLO string
+	SLO string `json:"slo"`
 	// Window labels the lookback ("5m", "1h", "6h").
-	Window string
+	Window string `json:"window"`
 	// Burn is badRatio / (1 − objective); 0 with no traffic.
-	Burn float64 // unit: dimensionless
+	Burn float64 `json:"burn"` // unit: dimensionless
 	// BadRatio is the observed violation fraction in the window.
-	BadRatio float64 // unit: dimensionless
+	BadRatio float64 `json:"bad_ratio"` // unit: dimensionless
 	// Total is the attempts considered in the window.
-	Total int64
+	Total int64 `json:"total"`
 }
 
 // DefBurnWindows are the standard multi-window burn-rate lookbacks.
@@ -571,25 +581,9 @@ var DefBurnWindows = []time.Duration{5 * time.Minute, time.Hour, 6 * time.Hour}
 func burnLabel(d time.Duration) string {
 	if d%time.Hour == 0 {
 		h := int64(d / time.Hour)
-		return itoa(h) + "h"
+		return strconv.FormatInt(h, 10) + "h"
 	}
-	return itoa(int64(d/time.Minute)) + "m"
-}
-
-// itoa is a minimal positive-int formatter (avoids strconv in the hot
-// import graph — this file otherwise needs only math and sync/atomic).
-func itoa(v int64) string {
-	if v <= 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return strconv.FormatInt(int64(d/time.Minute), 10) + "m"
 }
 
 // BurnRates computes multi-window burn rates for the configured SLOs
@@ -630,18 +624,19 @@ func burnRate(name string, win time.Duration, bad, total int64, objective float6
 // deltas between the window's first and last samples.
 type ResourceUsage struct {
 	// HeapBytes and Goroutines are the latest sampled values.
-	HeapBytes, Goroutines int64
+	HeapBytes  int64 `json:"heap_bytes"`
+	Goroutines int64 `json:"goroutines"`
 	// GCPauseTotalUS is the cumulative stop-the-world GC pause at the
 	// latest sample, microseconds.
-	GCPauseTotalUS int64
+	GCPauseTotalUS int64 `json:"gc_pause_total_us"` // unit: µs
 	// AllocPerDecisionBytes is heap bytes allocated per decided verify
 	// across the window (0 without two samples or without decisions).
-	AllocPerDecisionBytes float64 // unit: any
+	AllocPerDecisionBytes float64 `json:"alloc_per_decision_bytes,omitempty"` // unit: any
 	// GCPausePerDecisionUS is GC pause microseconds accrued per decided
 	// verify across the window.
-	GCPausePerDecisionUS float64 // unit: µs
+	GCPausePerDecisionUS float64 `json:"gc_pause_per_decision_us,omitempty"` // unit: µs
 	// Samples is how many sampled slots the window held.
-	Samples int
+	Samples int `json:"samples"`
 }
 
 // Resources derives the live-window resource summary from the fine ring.
