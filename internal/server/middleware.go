@@ -7,6 +7,7 @@ import (
 	"context"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"voiceguard/internal/telemetry"
@@ -55,17 +56,19 @@ var knownRoutes = map[string]bool{
 	"/verify": true, "/voiceprint": true, "/enroll": true,
 	"/healthz": true, "/stats": true, "/metrics": true,
 	DecisionsRoute: true, DecisionsJSONLRoute: true,
+	DriftRoute: true, DriftPinRoute: true,
 }
 
+// routeLabel maps a request path to its bounded route label; the
+// per-ID trace and evidence paths fold into their route prefix.
 func routeLabel(path string) string {
 	if knownRoutes[path] {
 		return path
 	}
-	if len(path) >= len("/debug/pprof/") && path[:len("/debug/pprof/")] == "/debug/pprof/" {
-		return "/debug/pprof/"
-	}
-	if len(path) >= len(TraceRoute) && path[:len(TraceRoute)] == TraceRoute {
-		return TraceRoute
+	for _, prefix := range [...]string{"/debug/pprof/", TraceRoute, EvidenceRoute} {
+		if strings.HasPrefix(path, prefix) {
+			return prefix
+		}
 	}
 	return "other"
 }

@@ -519,3 +519,64 @@ func TestConcurrentLoadCounterConsistency(t *testing.T) {
 		t.Errorf("pipeline histogram count = %v, want %d", got, workers*validPerWorker)
 	}
 }
+
+// TestRouteLabelsBounded sends one request to every route Handler mounts
+// with all debug surfaces on, plus an unknown path, and checks that each
+// lands under its own route label on the HTTP metrics. Trace and evidence
+// IDs fold into their route prefix, so a scan of random IDs cannot grow
+// the label set, and only the unknown path counts as "other".
+func TestRouteLabelsBounded(t *testing.T) {
+	sys, err := core.BuildSystem(core.SystemConfig{FieldSeed: 53, DisableField: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(sys, nil, WithDecisionEndpoints(), WithEvidenceEndpoint(), WithPprof())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	id := make([]byte, 32)
+	rand.New(rand.NewSource(64)).Read(id)
+	routes := []struct{ path, route string }{
+		{"/verify", "/verify"},
+		{"/voiceprint", "/voiceprint"},
+		{"/enroll", "/enroll"},
+		{"/healthz", "/healthz"},
+		{"/stats", "/stats"},
+		{"/metrics", "/metrics"},
+		{DecisionsRoute, DecisionsRoute},
+		{DecisionsJSONLRoute, DecisionsJSONLRoute},
+		{TraceRoute + "no-such-trace", TraceRoute},
+		{EvidenceRoute + fmt.Sprintf("%x", id), EvidenceRoute},
+		{DriftRoute, DriftRoute},
+		{DriftPinRoute, DriftPinRoute},
+		{"/debug/pprof/cmdline", "/debug/pprof/"},
+		{"/no/such/path", "other"},
+	}
+	for _, tc := range routes {
+		resp, err := http.Get(ts.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	const prefix = `voiceguard_http_request_duration_seconds_count{route="`
+	m := scrapeMetrics(t, ts.URL)
+	for _, tc := range routes {
+		if got := m[prefix+tc.route+`"}`]; got != 1 {
+			t.Errorf("GET %s: route %q counted %v times, want 1", tc.path, tc.route, got)
+		}
+	}
+	var labels int
+	for key := range m {
+		if strings.HasPrefix(key, prefix) {
+			labels++
+		}
+	}
+	if labels != len(routes) {
+		t.Errorf("%d route labels for %d distinct routes", labels, len(routes))
+	}
+}
