@@ -275,7 +275,12 @@ func mirror(k, m int) int {
 }
 
 // realMagnitudes writes |X_k| for bins 0..n/2 of the real-input signal
-// packed and transformed in z. Same math as realUnpack, magnitudes only.
+// packed and transformed in z (length n/2):
+//
+//	X[k] = E_k + w^k·O_k,  w = exp(-2πi/n)
+//
+// with E/O the even/odd-sample sub-spectra reconstructed from z's
+// conjugate symmetry.
 func (p *FFTPlan) realMagnitudes(z []complex128, dst []float64) {
 	m := p.n / 2
 	for k := 0; k < m; k++ {

@@ -334,7 +334,7 @@ func logSumExp(v []float64) float64 {
 }
 
 // logLikelihoods writes log p(x) of each frame into lls, with the bits
-// logLikelihoodInto gives frame by frame.
+// LogLikelihood gives frame by frame.
 func (g *GMM) logLikelihoods(frames [][]float64, lls []float64) {
 	g.componentRows(frames, func(i int, row []float64) { lls[i] = logSumExp(row) })
 }

@@ -178,15 +178,6 @@ func (s *Server) DriftReport(timeline int) telemetry.DriftReport {
 	return rep
 }
 
-// PinDriftBaseline snapshots the trailing lookback as the drift
-// baseline (0 uses the live window).
-func (s *Server) PinDriftBaseline(lookback time.Duration) {
-	if lookback <= 0 {
-		lookback = s.windows.LiveWindow()
-	}
-	s.windows.PinBaseline(lookback)
-}
-
 // Windows exposes the rolling-window set (tests, experiments).
 func (s *Server) Windows() *telemetry.WindowSet { return s.windows }
 
