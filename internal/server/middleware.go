@@ -62,13 +62,15 @@ var knownRoutes = map[string]bool{
 // routeLabel maps a request path to its bounded route label; the
 // per-ID trace and evidence paths fold into their route prefix.
 func routeLabel(path string) string {
-	if knownRoutes[path] {
+	switch {
+	case knownRoutes[path]:
 		return path
-	}
-	for _, prefix := range [...]string{"/debug/pprof/", TraceRoute, EvidenceRoute} {
-		if strings.HasPrefix(path, prefix) {
-			return prefix
-		}
+	case strings.HasPrefix(path, "/debug/pprof/"):
+		return "/debug/pprof/"
+	case strings.HasPrefix(path, TraceRoute):
+		return TraceRoute
+	case strings.HasPrefix(path, EvidenceRoute):
+		return EvidenceRoute
 	}
 	return "other"
 }

@@ -20,17 +20,6 @@ func ApproxEqual(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps
 }
 
-// ApproxEqualRel reports whether a and b are equal within eps scaled by
-// the larger magnitude (falling back to absolute eps near zero), the
-// right comparison when operands span orders of magnitude.
-func ApproxEqualRel(a, b, eps float64) bool {
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		scale = 1
-	}
-	return math.Abs(a-b) <= eps*scale
-}
-
 // IsZero reports whether x is zero for configuration and guard purposes:
 // exactly zero, or so small (|x| < 1e-12) that it cannot be a meaningful
 // value. Use it for "was this field left unset" defaults and
