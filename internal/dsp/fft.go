@@ -1,8 +1,8 @@
 // Package dsp provides the signal-processing primitives the rest of the
 // system is built on: FFT, short-time Fourier transform, window functions,
-// Goertzel tone detection, IIR/FIR filtering, phase unwrapping and
-// decimation. Everything is stdlib-only and allocation-conscious; the
-// hot paths (FFT, biquads) avoid per-sample allocation entirely.
+// biquad IIR filtering and phase unwrapping. Everything is stdlib-only
+// and allocation-conscious; the hot paths (FFT, biquads) avoid
+// per-sample allocation entirely.
 package dsp
 
 import (

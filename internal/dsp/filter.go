@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Biquad is a second-order IIR filter section in direct form II transposed.
 // It is the building block for the vocal-tract formant resonators in the
@@ -29,9 +26,6 @@ func (f *Biquad) ProcessBlock(x []float64) {
 		x[i] = f.Process(v)
 	}
 }
-
-// Reset clears the filter state.
-func (f *Biquad) Reset() { f.z1, f.z2 = 0, 0 }
 
 // NewResonator returns a two-pole resonator centered at freq Hz with the
 // given -3 dB bandwidth, for a signal sampled at sampleRate. The gain is
@@ -91,105 +85,20 @@ func newRBJ(freq, sampleRate, q float64, highpass bool) *Biquad {
 	}
 }
 
-// FIRFilter is a finite-impulse-response filter applied by direct
-// convolution.
-type FIRFilter struct {
-	taps  []float64
-	delay []float64
-	pos   int
-}
-
-// NewLowPassFIR designs a windowed-sinc low-pass FIR filter with the given
-// cutoff in Hz, sample rate in Hz and number of taps (made odd if even, for
-// a symmetric linear-phase design). It returns an error on non-positive
-// arguments so a bad runtime configuration degrades to a failed request
-// instead of taking down the serving process.
-func NewLowPassFIR(cutoffHz, sampleRateHz float64, taps int) (*FIRFilter, error) {
-	if cutoffHz <= 0 || sampleRateHz <= 0 || taps <= 0 {
-		return nil, fmt.Errorf("dsp: invalid FIR design cutoff=%v rate=%v taps=%d", cutoffHz, sampleRateHz, taps)
-	}
-	if taps%2 == 0 {
-		taps++
-	}
-	fc := cutoffHz / sampleRateHz
-	mid := taps / 2
-	h := make([]float64, taps)
-	var sum float64
-	for i := range h {
-		n := i - mid
-		var v float64
-		if n == 0 {
-			v = 2 * fc
-		} else {
-			v = math.Sin(2*math.Pi*fc*float64(n)) / (math.Pi * float64(n))
+// Unwrap removes 2π discontinuities from a phase sequence in place and
+// returns it. Successive samples are assumed to differ by less than π in
+// the underlying continuous phase.
+func Unwrap(phase []float64) []float64 {
+	for i := 1; i < len(phase); i++ {
+		d := phase[i] - phase[i-1]
+		for d > math.Pi {
+			phase[i] -= 2 * math.Pi
+			d = phase[i] - phase[i-1]
 		}
-		// Hamming window for side-lobe suppression.
-		v *= 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(taps-1))
-		h[i] = v
-		sum += v
-	}
-	// Normalize DC gain to 1.
-	for i := range h {
-		h[i] /= sum
-	}
-	return &FIRFilter{taps: h, delay: make([]float64, taps)}, nil
-}
-
-// Process filters a single sample.
-func (f *FIRFilter) Process(x float64) float64 {
-	f.delay[f.pos] = x
-	var y float64
-	idx := f.pos
-	for _, t := range f.taps {
-		y += t * f.delay[idx]
-		idx--
-		if idx < 0 {
-			idx = len(f.delay) - 1
+		for d < -math.Pi {
+			phase[i] += 2 * math.Pi
+			d = phase[i] - phase[i-1]
 		}
 	}
-	f.pos++
-	if f.pos == len(f.delay) {
-		f.pos = 0
-	}
-	return y
-}
-
-// ProcessBlock filters x in place.
-func (f *FIRFilter) ProcessBlock(x []float64) {
-	for i, v := range x {
-		x[i] = f.Process(v)
-	}
-}
-
-// Reset clears the delay line.
-func (f *FIRFilter) Reset() {
-	for i := range f.delay {
-		f.delay[i] = 0
-	}
-	f.pos = 0
-}
-
-// NumTaps returns the filter length.
-func (f *FIRFilter) NumTaps() int { return len(f.taps) }
-
-// Decimate returns every factor-th sample of x after low-pass filtering at
-// 0.45× the new Nyquist frequency to prevent aliasing. factor must be ≥ 1.
-func Decimate(x []float64, factor int, sampleRateHz float64) ([]float64, error) {
-	if factor <= 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out, nil
-	}
-	lp, err := NewLowPassFIR(0.45*sampleRateHz/float64(2*factor)*2, sampleRateHz, 63)
-	if err != nil {
-		return nil, fmt.Errorf("dsp: designing decimation filter: %w", err)
-	}
-	filtered := make([]float64, len(x))
-	copy(filtered, x)
-	lp.ProcessBlock(filtered)
-	out := make([]float64, 0, len(x)/factor+1)
-	for i := 0; i < len(filtered); i += factor {
-		out = append(out, filtered[i])
-	}
-	return out, nil
+	return phase
 }

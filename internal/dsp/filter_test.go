@@ -35,20 +35,9 @@ func TestResonatorSelectivity(t *testing.T) {
 	const rate = 16000.0
 	r := NewResonator(1000, 80, rate)
 	center := sineResponse(r.Process, 1000, rate, 16000)
-	r.Reset()
-	off := sineResponse(r.Process, 3000, rate, 16000)
+	off := sineResponse(NewResonator(1000, 80, rate).Process, 3000, rate, 16000)
 	if off >= center/4 {
 		t.Errorf("off-center gain %v not well below center %v", off, center)
-	}
-}
-
-func TestBiquadReset(t *testing.T) {
-	f := NewLowPassBiquad(1000, 48000)
-	f.Process(1)
-	f.Process(1)
-	f.Reset()
-	if f.z1 != 0 || f.z2 != 0 {
-		t.Error("Reset should clear state")
 	}
 }
 
@@ -56,8 +45,7 @@ func TestLowPassBiquad(t *testing.T) {
 	const rate = 48000.0
 	lp := NewLowPassBiquad(1000, rate)
 	pass := sineResponse(lp.Process, 100, rate, 48000)
-	lp.Reset()
-	stop := sineResponse(lp.Process, 10000, rate, 48000)
+	stop := sineResponse(NewLowPassBiquad(1000, rate).Process, 10000, rate, 48000)
 	if pass < 0.95 {
 		t.Errorf("passband gain %v, want ~1", pass)
 	}
@@ -70,8 +58,7 @@ func TestHighPassBiquad(t *testing.T) {
 	const rate = 48000.0
 	hp := NewHighPassBiquad(5000, rate)
 	stop := sineResponse(hp.Process, 200, rate, 48000)
-	hp.Reset()
-	pass := sineResponse(hp.Process, 20000, rate, 48000)
+	pass := sineResponse(NewHighPassBiquad(5000, rate).Process, 20000, rate, 48000)
 	if pass < 0.9 {
 		t.Errorf("passband gain %v, want ~1", pass)
 	}
@@ -96,177 +83,6 @@ func TestBiquadProcessBlock(t *testing.T) {
 		if x[i] != want[i] {
 			t.Fatalf("block[%d] = %v, want %v", i, x[i], want[i])
 		}
-	}
-}
-
-func TestFIRLowPass(t *testing.T) {
-	const rate = 48000.0
-	f, err := NewLowPassFIR(1000, rate, 101)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumTaps() != 101 {
-		t.Errorf("taps = %d", f.NumTaps())
-	}
-	pass := sineResponse(f.Process, 100, rate, 48000)
-	f.Reset()
-	stop := sineResponse(f.Process, 8000, rate, 48000)
-	if pass < 0.95 {
-		t.Errorf("passband gain %v", pass)
-	}
-	if stop > 0.01 {
-		t.Errorf("stopband gain %v", stop)
-	}
-}
-
-func TestFIREvenTapsMadeOdd(t *testing.T) {
-	f, err := NewLowPassFIR(1000, 48000, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumTaps()%2 != 1 {
-		t.Errorf("taps = %d, want odd", f.NumTaps())
-	}
-}
-
-func TestFIRDCGain(t *testing.T) {
-	f, err := NewLowPassFIR(2000, 48000, 63)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last float64
-	for i := 0; i < 200; i++ {
-		last = f.Process(1)
-	}
-	if math.Abs(last-1) > 1e-9 {
-		t.Errorf("DC gain = %v, want 1", last)
-	}
-}
-
-func TestFIRInvalidDesignError(t *testing.T) {
-	if _, err := NewLowPassFIR(-1, 48000, 63); err == nil {
-		t.Error("expected error on invalid design")
-	}
-	if _, err := NewLowPassFIR(1000, 0, 63); err == nil {
-		t.Error("expected error on zero sample rate")
-	}
-	if _, err := NewLowPassFIR(1000, 48000, 0); err == nil {
-		t.Error("expected error on zero taps")
-	}
-}
-
-func TestFIRReset(t *testing.T) {
-	f, err := NewLowPassFIR(1000, 48000, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Process(5)
-	f.Reset()
-	// After reset, impulse response should match a fresh filter.
-	g, err := NewLowPassFIR(1000, 48000, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		in := 0.0
-		if i == 0 {
-			in = 1
-		}
-		if a, b := f.Process(in), g.Process(in); a != b {
-			t.Fatalf("sample %d: %v != %v", i, a, b)
-		}
-	}
-}
-
-func TestDecimate(t *testing.T) {
-	const rate = 48000.0
-	x := make([]float64, 4800)
-	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * 100 * float64(i) / rate)
-	}
-	y, err := Decimate(x, 4, rate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(y) != 1200 {
-		t.Errorf("len = %d, want 1200", len(y))
-	}
-	// A 100 Hz tone survives 4× decimation; peak should stay near 1.
-	var peak float64
-	for _, v := range y[len(y)/2:] {
-		if math.Abs(v) > peak {
-			peak = math.Abs(v)
-		}
-	}
-	if peak < 0.9 {
-		t.Errorf("decimated peak = %v, want ~1", peak)
-	}
-	// factor <= 1 copies.
-	same, err := Decimate(x, 1, rate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(same) != len(x) {
-		t.Errorf("factor 1 should preserve length")
-	}
-	same[0] = 999
-	if x[0] == 999 {
-		t.Error("Decimate must copy, not alias")
-	}
-}
-
-func TestGoertzelMatchesFFT(t *testing.T) {
-	const (
-		rate = 48000.0
-		n    = 1024
-	)
-	x := make([]float64, n)
-	for i := range x {
-		ti := float64(i) / rate
-		x[i] = 0.7*math.Sin(2*math.Pi*19031.25*ti) + 0.3*math.Sin(2*math.Pi*1500*ti)
-	}
-	// 19031.25 Hz is exactly bin 406 at n=1024, rate=48000.
-	mag := Goertzel(x, 19031.25, rate)
-	spec := FFTReal(x)
-	want := Magnitudes(spec)[406]
-	if math.Abs(mag-want) > 1e-6*want {
-		t.Errorf("goertzel = %v, fft = %v", mag, want)
-	}
-}
-
-func TestGoertzelPhaseTracksDelay(t *testing.T) {
-	const (
-		rate = 48000.0
-		freq = 18750.0 // bin-aligned for n=1024: 18750/46.875 = 400
-		n    = 1024
-	)
-	mk := func(phi float64) []float64 {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = math.Cos(2*math.Pi*freq*float64(i)/rate + phi)
-		}
-		return x
-	}
-	_, p0 := GoertzelPhase(mk(0), freq, rate)
-	_, p1 := GoertzelPhase(mk(0.5), freq, rate)
-	d := p1 - p0
-	for d > math.Pi {
-		d -= 2 * math.Pi
-	}
-	for d < -math.Pi {
-		d += 2 * math.Pi
-	}
-	if math.Abs(d-0.5) > 1e-6 {
-		t.Errorf("phase delta = %v, want 0.5", d)
-	}
-}
-
-func TestGoertzelEmpty(t *testing.T) {
-	if Goertzel(nil, 1000, 48000) != 0 {
-		t.Error("empty input should give 0")
-	}
-	if m, p := GoertzelPhase(nil, 1000, 48000); m != 0 || p != 0 {
-		t.Error("empty input should give 0, 0")
 	}
 }
 
@@ -305,18 +121,6 @@ func TestUnwrapDescending(t *testing.T) {
 		if un[i] >= un[i-1] {
 			t.Fatalf("unwrap not monotone at %d: %v >= %v", i, un[i], un[i-1])
 		}
-	}
-}
-
-func BenchmarkGoertzel1024(b *testing.B) {
-	x := make([]float64, 1024)
-	for i := range x {
-		x[i] = math.Sin(0.3 * float64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Goertzel(x, 19000, 48000)
 	}
 }
 
