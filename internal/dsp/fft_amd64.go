@@ -17,3 +17,19 @@ func radix2Stages(x, tw []complex128) {
 
 //go:noescape
 func radix2StagesAVX2(x, tw []complex128)
+
+// realPowerBins writes the unpacked power bins of realPowerGeneric.
+// With AVX2 it takes realPowerAVX2 (fft_amd64.s), which performs the
+// same float64 operations for each bin, two bins per ymm register and
+// no FMA, so its output has the same bits; only a NaN's payload may
+// differ.
+func realPowerBins(dst []float64, z, tw []complex128) {
+	if cpuid.AVX2 {
+		realPowerAVX2(dst, z, tw)
+		return
+	}
+	realPowerGeneric(dst, z, tw)
+}
+
+//go:noescape
+func realPowerAVX2(dst []float64, z, tw []complex128)

@@ -3,6 +3,7 @@ package dsp
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -185,6 +186,31 @@ func checkFFTBits(t *testing.T, x []float64, inverse bool) {
 	}
 }
 
+// checkUnpackBits holds the dispatched real-input unpack (the AVX2
+// kernel where the CPU has it) to realPowerGeneric on the packed
+// spectrum z, whose length must be a power of two, and checks that it
+// writes nothing past bin len(z)−1.
+func checkUnpackBits(t *testing.T, z []complex128) {
+	t.Helper()
+	m := len(z)
+	tw := PlanFFT(2 * m).realTw
+	want := make([]float64, m)
+	realPowerGeneric(want, z, tw)
+	const guard = 12345.678
+	got := make([]float64, m+1)
+	got[m] = guard
+	realPowerBins(got[:m], z, tw)
+	for k := range want {
+		if !sameBits(got[k], want[k]) {
+			t.Fatalf("n=%d unpack: bin %d = %v, want %v (z[k] = %v, z[m−k] = %v)",
+				2*m, k, got[k], want[k], z[k], z[mirror(k, m)])
+		}
+	}
+	if got[m] != guard { //lint:allow floatcmp sentinel must keep its exact bits
+		t.Fatalf("n=%d unpack wrote past its last bin", 2*m)
+	}
+}
+
 // specialValues are the IEEE edge cases the fuzz seeds and the table
 // test mix into random signals.
 var specialValues = []float64{
@@ -195,6 +221,10 @@ var specialValues = []float64{
 // TestFFTKernelMatchesGeneric holds every transform entry point to the
 // portable loops on 1,200 random signals, n = 2…1024 plus Bluestein
 // sizes, some sprinkled with signed zeros, subnormals and infinities.
+// It then holds the real-input unpack to its portable loop directly, on
+// packed spectra for every power-of-two n = 2…4096: finite values over
+// the whole exponent range (so squares underflow and overflow), a few
+// IEEE edge cases among them, and spectra made mostly of edge cases.
 func TestFFTKernelMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	sizes := []int{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 3, 6, 10, 400, 443, 1000}
@@ -211,12 +241,30 @@ func TestFFTKernelMatchesGeneric(t *testing.T) {
 		}
 		checkFFTBits(t, x, i%2 == 1)
 	}
+	value := func(special int) float64 {
+		if rng.Intn(special) == 0 {
+			return specialValues[rng.Intn(len(specialValues))]
+		}
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(620)-310))
+	}
+	for n := 2; n <= 4096; n <<= 1 {
+		for trial := 0; trial < 12; trial++ {
+			special := []int{1 << 30, 16, 2}[trial%3]
+			z := make([]complex128, n/2)
+			for j := range z {
+				z[j] = complex(value(special), value(special))
+			}
+			checkUnpackBits(t, z)
+		}
+	}
 }
 
 // FuzzFFTMatchesGeneric holds the dispatched transforms (forward,
 // inverse, RealPower and the STFT magnitudes) to the
 // portable loops, bit for bit, on fuzzer-chosen sizes n = 2…4096 and
-// raw float64 bit patterns.
+// raw float64 bit patterns. The same bits, read as a packed spectrum of
+// the largest power-of-two size n' ≤ n, hold the real-input unpack to
+// its portable loop with no transform between.
 func FuzzFFTMatchesGeneric(f *testing.F) {
 	seed := func(n uint16, inverse bool, vals ...float64) []byte {
 		b := binary.LittleEndian.AppendUint16(nil, n)
@@ -236,6 +284,8 @@ func FuzzFFTMatchesGeneric(f *testing.F) {
 	f.Add(seed(443, false, math.Inf(1), 1, 2))
 	f.Add(seed(1000, true, math.NaN(), math.Inf(-1)))
 	f.Add(seed(4096, false, 1e300, -1e300, 1e-300))
+	f.Add(seed(4, false, math.Inf(1), math.NaN(), math.Copysign(0, -1), 5e-324))
+	f.Add(seed(16, false, math.Inf(-1), 0, 0, math.Inf(1), 1e-200, -1e-170, 1e160, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -252,6 +302,11 @@ func FuzzFFTMatchesGeneric(f *testing.F) {
 			}
 		}
 		checkFFTBits(t, x, inverse)
+		z := make([]complex128, 1<<(bits.Len(uint(n/2))-1))
+		for i := range z {
+			z[i] = complex(x[2*i], x[2*i+1])
+		}
+		checkUnpackBits(t, z)
 	})
 }
 

@@ -275,39 +275,46 @@ func mirror(k, m int) int {
 }
 
 // realMagnitudes writes |X_k| for bins 0..n/2 of the real-input signal
-// packed and transformed in z (length n/2):
-//
-//	X[k] = E_k + w^k·O_k,  w = exp(-2πi/n)
-//
-// with E/O the even/odd-sample sub-spectra reconstructed from z's
-// conjugate symmetry.
+// packed and transformed in z: the square roots of realPower's bins.
+// The Nyquist bin is |real(z0) − imag(z0)| itself, not the root of its
+// square, which differs when the square underflows.
 func (p *FFTPlan) realMagnitudes(z []complex128, dst []float64) {
 	m := p.n / 2
-	for k := 0; k < m; k++ {
-		zr := cmplx.Conj(z[mirror(k, m)])
-		e := (z[k] + zr) * 0.5
-		o := (z[k] - zr) * complex(0, -0.5)
-		xk := e + p.realTw[k]*o
-		re, im := real(xk), imag(xk)
-		dst[k] = math.Sqrt(re*re + im*im)
+	realPowerBins(dst[:m], z, p.realTw)
+	for k, v := range dst[:m] {
+		dst[k] = math.Sqrt(v)
 	}
 	dst[m] = math.Abs(real(z[0]) - imag(z[0]))
 }
 
 // realPower writes |X_k|² for bins 0..n/2 of the real-input signal packed
-// and transformed in z.
+// and transformed in z (length n/2).
 func (p *FFTPlan) realPower(z []complex128, dst []float64) {
 	m := p.n / 2
+	realPowerBins(dst[:m], z, p.realTw)
+	nyq := real(z[0]) - imag(z[0])
+	dst[m] = nyq * nyq
+}
+
+// realPowerGeneric is the portable unpack loop, the oracle of the amd64
+// kernel. For each bin k < m = len(z) of the packed, transformed
+// half-size spectrum z it forms
+//
+//	X[k] = E_k + w^k·O_k,  w = exp(-2πi/n)
+//
+// with E/O the even/odd-sample sub-spectra reconstructed from z's
+// conjugate symmetry, and writes |X[k]|² to dst[k]. tw holds w^k as in
+// FFTPlan.realTw; dst and tw must be at least as long as z.
+func realPowerGeneric(dst []float64, z, tw []complex128) {
+	m := len(z)
 	for k := 0; k < m; k++ {
 		zr := cmplx.Conj(z[mirror(k, m)])
 		e := (z[k] + zr) * 0.5
 		o := (z[k] - zr) * complex(0, -0.5)
-		xk := e + p.realTw[k]*o
+		xk := e + tw[k]*o
 		re, im := real(xk), imag(xk)
 		dst[k] = re*re + im*im
 	}
-	nyq := real(z[0]) - imag(z[0])
-	dst[m] = nyq * nyq
 }
 
 // RealPower computes the power spectrum |X_k|² of the real n-point

@@ -120,15 +120,22 @@ func ExtractSpan(span *telemetry.Span, s *audio.Signal, cfg MFCCConfig) ([][]flo
 	if err != nil {
 		return nil, err
 	}
-	dct := cachedDCT(cfg.NumCoeffs, cfg.NumFilters)
+	basis := cachedDCT(cfg.NumCoeffs, cfg.NumFilters)
 
-	rowW := cfg.NumCoeffs + 1
-	base := sliceRows(make([]float64, len(frames)*rowW), rowW)
+	// Each frame's base cepstra go straight into the first rowW columns
+	// of its output row, and the deltas of those into the next rowW.
+	nc := cfg.NumCoeffs
+	rowW := nc + 1
+	outW := rowW
+	if cfg.Deltas {
+		outW = 2 * rowW
+	}
+	out := sliceRows(make([]float64, len(frames)*outW), outW)
 	plan := dsp.PlanFFT(fftSize)
 	nBins := fftSize/2 + 1
 	span.SetInt("frames", int64(len(frames)))
 	span.SetInt("fft_size", int64(fftSize))
-	span.SetInt("num_coeffs", int64(cfg.NumCoeffs))
+	span.SetInt("num_coeffs", int64(nc))
 	span.SetInt("num_filters", int64(cfg.NumFilters))
 	var errMu sync.Mutex
 	var frameErr error
@@ -137,7 +144,6 @@ func ExtractSpan(span *telemetry.Span, s *audio.Signal, cfg MFCCConfig) ([][]flo
 		// retained past this callback.
 		xbuf := make([]float64, fftSize)
 		power := make([]float64, nBins)
-		logFB := make([]float64, cfg.NumFilters)
 		for fi := lo; fi < hi; fi++ {
 			frame := frames[fi]
 			var energy float64
@@ -168,35 +174,31 @@ func ExtractSpan(span *telemetry.Span, s *audio.Signal, cfg MFCCConfig) ([][]flo
 				errMu.Unlock()
 				return
 			}
+			// DCT-II of the log filterbank energies: coefficient k sums
+			// basis(k, m)·log E_m over m = 0, 1, … in its own accumulator
+			// ceps[k]. Running the filters in the outer loop keeps the
+			// coefficients' addition chains independent of each other.
+			ceps := out[fi][:nc:nc]
+			clear(ceps)
 			for m, filt := range bank {
 				var acc float64
 				for _, tap := range filt {
 					acc += power[tap.bin] * tap.weight
 				}
-				logFB[m] = math.Log(acc + 1e-12)
-			}
-			row := base[fi]
-			for k := 0; k < cfg.NumCoeffs; k++ {
-				var acc float64
-				for m := 0; m < cfg.NumFilters; m++ {
-					acc += dct[k][m] * logFB[m]
+				logE := math.Log(acc + 1e-12)
+				col := basis[m*nc : (m+1)*nc : (m+1)*nc]
+				for k, w := range col {
+					ceps[k] += w * logE
 				}
-				row[k] = acc
 			}
-			row[cfg.NumCoeffs] = math.Log(energy + 1e-12)
+			out[fi][nc] = math.Log(energy + 1e-12)
 		}
 	})
 	if frameErr != nil {
 		return nil, fmt.Errorf("features: frame spectrum: %w", frameErr)
 	}
-	out := base
 	if cfg.Deltas {
-		deltas := Deltas(base, 2)
-		out = sliceRows(make([]float64, len(base)*2*rowW), 2*rowW)
-		for i := range base {
-			copy(out[i], base[i])
-			copy(out[i][rowW:], deltas[i])
-		}
+		regressDeltas(out, out, rowW, rowW, 2)
 	}
 	if cfg.CMVN {
 		ApplyCMVN(out)
@@ -249,18 +251,18 @@ type dctKey struct {
 	numCoeffs, numFilters int
 }
 
-// dctCache maps basis shape → the shared [][]float64 rows (read-only).
-var dctCache sync.Map // dctKey → [][]float64
+// dctCache maps basis shape → the shared flat basis (read-only).
+var dctCache sync.Map // dctKey → []float64
 
 // cachedDCT returns the shared DCT-II basis for the shape, building it
 // on first use.
-func cachedDCT(numCoeffs, numFilters int) [][]float64 {
+func cachedDCT(numCoeffs, numFilters int) []float64 {
 	key := dctKey{numCoeffs, numFilters}
 	if v, ok := dctCache.Load(key); ok {
-		return v.([][]float64)
+		return v.([]float64)
 	}
-	v, _ := dctCache.LoadOrStore(key, dctMatrix(numCoeffs, numFilters))
-	return v.([][]float64)
+	v, _ := dctCache.LoadOrStore(key, dctBasis(numCoeffs, numFilters))
+	return v.([]float64)
 }
 
 // filterTap is one (bin, weight) entry of a triangular mel filter.
@@ -302,37 +304,45 @@ func melFilterbank(numFilters, fftSize int, rate, low, high float64) [][]filterT
 	return bank
 }
 
-// dctMatrix returns the DCT-II basis rows 1..numCoeffs (row 0, the DC
-// term, is skipped as usual for MFCCs).
-func dctMatrix(numCoeffs, numFilters int) [][]float64 {
-	m := make([][]float64, numCoeffs)
+// dctBasis returns the DCT-II basis for coefficients 1..numCoeffs (the
+// DC term, 0, is skipped as usual for MFCCs), transposed and flat:
+// entry m·numCoeffs + k weights filter m in coefficient k+1.
+func dctBasis(numCoeffs, numFilters int) []float64 {
+	b := make([]float64, numFilters*numCoeffs)
 	norm := math.Sqrt(2 / float64(numFilters))
 	for k := 0; k < numCoeffs; k++ {
-		row := make([]float64, numFilters)
 		for n := 0; n < numFilters; n++ {
-			row[n] = norm * math.Cos(math.Pi*float64(k+1)*(float64(n)+0.5)/float64(numFilters))
+			b[n*numCoeffs+k] = norm * math.Cos(math.Pi*float64(k+1)*(float64(n)+0.5)/float64(numFilters))
 		}
-		m[k] = row
 	}
-	return m
+	return b
 }
 
 // Deltas computes first-order regression deltas with the given window
 // half-width over a feature matrix.
 func Deltas(feats [][]float64, width int) [][]float64 {
-	n := len(feats)
-	if n == 0 {
+	if len(feats) == 0 {
 		return nil
 	}
 	dim := len(feats[0])
+	out := sliceRows(make([]float64, len(feats)*dim), dim)
+	regressDeltas(out, feats, dim, 0, width)
+	return out
+}
+
+// regressDeltas writes the regression deltas (window half-width width)
+// of columns [0, dim) of src into columns [off, off+dim) of dst, row for
+// row. dst may be src when off ≥ dim: each row then reads only the base
+// columns of its neighbours and writes only its own delta columns.
+func regressDeltas(dst, src [][]float64, dim, off, width int) {
+	n := len(src)
 	var denom float64
 	for w := 1; w <= width; w++ {
 		denom += 2 * float64(w*w)
 	}
-	out := sliceRows(make([]float64, n*dim), dim)
 	parallel.For(n, func(i int) {
-		row := out[i]
-		for d := 0; d < dim; d++ {
+		row := dst[i][off : off+dim]
+		for d := range row {
 			var num float64
 			for w := 1; w <= width; w++ {
 				lo := i - w
@@ -343,12 +353,11 @@ func Deltas(feats [][]float64, width int) [][]float64 {
 				if hi >= n {
 					hi = n - 1
 				}
-				num += float64(w) * (feats[hi][d] - feats[lo][d])
+				num += float64(w) * (src[hi][d] - src[lo][d])
 			}
 			row[d] = num / denom
 		}
 	})
-	return out
 }
 
 // ApplyCMVN normalizes each feature dimension to zero mean and unit
@@ -368,22 +377,23 @@ func ApplyCMVN(feats [][]float64) {
 	for d := range mean {
 		mean[d] /= n
 	}
-	variance := make([]float64, dim)
+	std := make([]float64, dim) // sums of squared deviations, then standard deviations
 	for _, row := range feats {
 		for d, v := range row {
 			diff := v - mean[d]
-			variance[d] += diff * diff
+			std[d] += diff * diff
 		}
 	}
-	for d := range variance {
-		variance[d] /= n
-		if variance[d] < 1e-12 {
-			variance[d] = 1e-12
+	for d, ss := range std {
+		variance := ss / n
+		if variance < 1e-12 {
+			variance = 1e-12
 		}
+		std[d] = math.Sqrt(variance)
 	}
 	for _, row := range feats {
 		for d := range row {
-			row[d] = (row[d] - mean[d]) / math.Sqrt(variance[d])
+			row[d] = (row[d] - mean[d]) / std[d]
 		}
 	}
 }

@@ -222,3 +222,18 @@ func BenchmarkExtract(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExtractServed is BenchmarkExtract in the identity stage's
+// shape: the default front-end with CMVN off, as core sets it.
+func BenchmarkExtractServed(b *testing.B) {
+	s := toneSignal(300, 16000, 2)
+	cfg := DefaultMFCCConfig()
+	cfg.CMVN = false
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Extract(s, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
