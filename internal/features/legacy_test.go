@@ -78,7 +78,7 @@ func legacyExtract(s *audio.Signal, cfg MFCCConfig) ([][]float64, error) {
 	}
 	out := base
 	if cfg.Deltas {
-		deltas := Deltas(base, 2)
+		deltas := refDeltas(base, 2)
 		out = make([][]float64, len(base))
 		for i := range base {
 			row := make([]float64, 0, 2*len(base[i]))
@@ -194,7 +194,8 @@ func dctMatrix(numCoeffs, numFilters int) [][]float64 {
 	return m
 }
 
-// refDeltas is Deltas as a serial loop into a matrix of its own.
+// refDeltas is the regression-delta loop as it was before writeDeltas:
+// serial, into a matrix of its own.
 func refDeltas(feats [][]float64, width int) [][]float64 {
 	n := len(feats)
 	dim := len(feats[0])

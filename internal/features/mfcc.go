@@ -87,7 +87,8 @@ func InvMelScale(mel float64) float64 { return 700 * (math.Pow(10, mel/2595) - 1
 // This is the planned hot path: the mel filterbank and DCT basis are
 // cached per configuration, the analysis window comes from the dsp
 // window cache, the spectrum runs through the cached real-input FFTPlan,
-// rows share one backing allocation, and frames fan out across cores via
+// rows share one backing allocation that the cepstra and their deltas
+// are written into directly, and frames fan out across cores via
 // internal/parallel. Rows are written by index, so output is
 // bit-identical to the serial loop.
 func Extract(s *audio.Signal, cfg MFCCConfig) ([][]float64, error) {
@@ -123,7 +124,7 @@ func ExtractSpan(span *telemetry.Span, s *audio.Signal, cfg MFCCConfig) ([][]flo
 	basis := cachedDCT(cfg.NumCoeffs, cfg.NumFilters)
 
 	// Each frame's base cepstra go straight into the first rowW columns
-	// of its output row, and the deltas of those into the next rowW.
+	// of its output row, and their deltas into the next rowW.
 	nc := cfg.NumCoeffs
 	rowW := nc + 1
 	outW := rowW
@@ -178,8 +179,7 @@ func ExtractSpan(span *telemetry.Span, s *audio.Signal, cfg MFCCConfig) ([][]flo
 			// basis(k, m)·log E_m over m = 0, 1, … in its own accumulator
 			// ceps[k]. Running the filters in the outer loop keeps the
 			// coefficients' addition chains independent of each other.
-			ceps := out[fi][:nc:nc]
-			clear(ceps)
+			ceps := out[fi][:nc:nc] // zero, as make left it
 			for m, filt := range bank {
 				var acc float64
 				for _, tap := range filt {
@@ -198,7 +198,7 @@ func ExtractSpan(span *telemetry.Span, s *audio.Signal, cfg MFCCConfig) ([][]flo
 		return nil, fmt.Errorf("features: frame spectrum: %w", frameErr)
 	}
 	if cfg.Deltas {
-		regressDeltas(out, out, rowW, rowW, 2)
+		writeDeltas(out, rowW, 2)
 	}
 	if cfg.CMVN {
 		ApplyCMVN(out)
@@ -318,31 +318,19 @@ func dctBasis(numCoeffs, numFilters int) []float64 {
 	return b
 }
 
-// Deltas computes first-order regression deltas with the given window
-// half-width over a feature matrix.
-func Deltas(feats [][]float64, width int) [][]float64 {
-	if len(feats) == 0 {
-		return nil
-	}
-	dim := len(feats[0])
-	out := sliceRows(make([]float64, len(feats)*dim), dim)
-	regressDeltas(out, feats, dim, 0, width)
-	return out
-}
-
-// regressDeltas writes the regression deltas (window half-width width)
-// of columns [0, dim) of src into columns [off, off+dim) of dst, row for
-// row. dst may be src when off ≥ dim: each row then reads only the base
-// columns of its neighbours and writes only its own delta columns.
-func regressDeltas(dst, src [][]float64, dim, off, width int) {
-	n := len(src)
+// writeDeltas writes into columns [dim, 2·dim) of every row the
+// first-order regression deltas, window half-width width, of columns
+// [0, dim). A row reads only its neighbours' first dim columns and
+// writes only its own last dim, so rows run in parallel.
+func writeDeltas(rows [][]float64, dim, width int) {
+	n := len(rows)
 	var denom float64
 	for w := 1; w <= width; w++ {
 		denom += 2 * float64(w*w)
 	}
 	parallel.For(n, func(i int) {
-		row := dst[i][off : off+dim]
-		for d := range row {
+		delta := rows[i][dim : 2*dim]
+		for d := range delta {
 			var num float64
 			for w := 1; w <= width; w++ {
 				lo := i - w
@@ -353,9 +341,9 @@ func regressDeltas(dst, src [][]float64, dim, off, width int) {
 				if hi >= n {
 					hi = n - 1
 				}
-				num += float64(w) * (src[hi][d] - src[lo][d])
+				num += float64(w) * (rows[hi][d] - rows[lo][d])
 			}
-			row[d] = num / denom
+			delta[d] = num / denom
 		}
 	})
 }
