@@ -178,7 +178,7 @@ func TestDifferentSpeakersYieldDifferentFeatures(t *testing.T) {
 func TestDeltasOfConstantAreZero(t *testing.T) {
 	rows := sliceRows(make([]float64, 10*6), 6)
 	for _, row := range rows {
-		copy(row, []float64{3, -1, 7})
+		copy(row, []float64{3, -1, 7, 99, 99, 99}) // 99: must be overwritten
 	}
 	writeDeltas(rows, 3, 2)
 	for i, row := range rows {
