@@ -191,7 +191,7 @@ func TestDriftReportGolden(t *testing.T) {
 const driftGolden = `{"generated_unix":0,"baseline_pinned_unix":1786179600,"baseline_window":"5m0s","live_window":"5m0s","alert_psi":0.25,"drift":[` +
 	`{"stage":"distance","metric":"distance_cm","psi":0,"ks":0,"alert":false,"live_count":0,"baseline_count":0},` +
 	`{"stage":"soundfield","metric":"svm_margin","psi":0,"ks":0,"alert":false,"live_count":0,"baseline_count":0},` +
-	`{"stage":"loudspeaker","metric":"field_ut","psi":1.129941586108319,"ks":0.33333333333333326,"alert":true,"live_count":60,"baseline_count":40,"live_mean":10.283333333333333,"baseline_mean":0.6750000000000002},` +
+	`{"stage":"loudspeaker","metric":"field_ut","psi":6.526512560634197,"ks":1,"alert":true,"live_count":20,"baseline_count":40,"live_mean":29.5,"baseline_mean":0.6750000000000002},` +
 	`{"stage":"loudspeaker","metric":"beta_ut_per_s","psi":0,"ks":0,"alert":false,"live_count":0,"baseline_count":0},` +
 	`{"stage":"identity","metric":"llr","psi":0,"ks":0,"alert":false,"live_count":0,"baseline_count":0}],"burn":[` +
 	`{"slo":"availability","window":"5m","burn":0,"bad_ratio":0,"total":60},` +

@@ -386,12 +386,16 @@ func (w *WindowSet) ringFor(lookback time.Duration) *windowRing {
 
 // SeriesDist aggregates one series over the trailing lookback.
 func (w *WindowSet) SeriesDist(id SeriesID, lookback time.Duration) Dist {
+	return w.seriesDist(id, w.ringFor(lookback), w.cfg.Now().UnixNano(), int64(lookback))
+}
+
+func (w *WindowSet) seriesDist(id SeriesID, ring *windowRing, nowNS, lookbackNS int64) Dist {
 	d := Dist{Counts: make([]int64, len(w.defs[id].Edges)+1)}
 	if int(id) >= len(w.defs) {
 		return d
 	}
 	off := w.offsets[id]
-	w.ringFor(lookback).visit(w.cfg.Now().UnixNano(), int64(lookback), func(s *windowSlot) {
+	ring.visit(nowNS, lookbackNS, func(s *windowSlot) {
 		for i := range d.Counts {
 			d.Counts[i] += s.counts[off+i].Load()
 		}
@@ -426,15 +430,19 @@ type Baseline struct {
 	Window time.Duration
 	// Dists holds one distribution per registered series.
 	Dists []Dist
+
+	pinnedNS int64
 }
 
 // PinBaseline snapshots the trailing lookback of every series as the
 // drift baseline and returns it.
 func (w *WindowSet) PinBaseline(lookback time.Duration) *Baseline {
+	now := w.cfg.Now()
 	b := &Baseline{
-		PinnedUnix: w.cfg.Now().Unix(),
+		PinnedUnix: now.Unix(),
 		Window:     lookback,
 		Dists:      make([]Dist, len(w.defs)),
+		pinnedNS:   now.UnixNano(),
 	}
 	for i := range w.defs {
 		b.Dists[i] = w.SeriesDist(SeriesID(i), lookback)
@@ -469,12 +477,22 @@ type DriftScore struct {
 }
 
 // Drift scores every series' live window against the pinned baseline.
-// Without a baseline every score is zero (counts still report).
+// Without a baseline every score is zero (counts still report). The live
+// window starts after the slot the baseline was pinned in, since the
+// baseline holds that slot's samples; samples that land in that slot
+// after the pin count in neither window.
 func (w *WindowSet) Drift() []DriftScore {
 	b := w.baseline.Load()
+	ring := w.ringFor(w.cfg.LiveWindow)
+	nowNS := w.cfg.Now().UnixNano()
+	lookbackNS := int64(w.cfg.LiveWindow)
+	if b != nil {
+		// A negative lookback (still inside the pinned slot) visits no slot.
+		lookbackNS = min(lookbackNS, nowNS-(b.pinnedNS/ring.width+1)*ring.width)
+	}
 	out := make([]DriftScore, len(w.defs))
 	for i, def := range w.defs {
-		live := w.SeriesDist(SeriesID(i), w.cfg.LiveWindow)
+		live := w.seriesDist(SeriesID(i), ring, nowNS, lookbackNS)
 		ds := DriftScore{Stage: def.Stage, Metric: def.Metric, LiveCount: live.Total}
 		if live.Total > 0 {
 			ds.LiveMean = live.Mean()

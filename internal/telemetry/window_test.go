@@ -213,6 +213,41 @@ func TestPSIAndKSSeparateShiftedDistributions(t *testing.T) {
 	}
 }
 
+// TestDriftLiveWindowStartsAfterPin: the baseline already holds every
+// sample of the slot it was pinned in, so the live window must not count
+// them again. 40 baseline samples, a pin, then 20 attack samples a minute
+// later: the live window holds the 20 attack samples alone.
+func TestDriftLiveWindowStartsAfterPin(t *testing.T) {
+	clock := newFakeClock(testBase)
+	w := testWindowSet(clock)
+	id, _ := w.SeriesByName("loudspeaker", "field_ut")
+	for i := 0; i < 40; i++ {
+		w.ObserveEvidence(id, 0.5+0.05*float64(i%8))
+	}
+	w.PinBaseline(5 * time.Minute)
+	if got := w.Drift()[int(id)]; got.LiveCount != 0 || got.BaselineCount != 40 {
+		t.Errorf("right after the pin: live %d, baseline %d; want 0, 40", got.LiveCount, got.BaselineCount)
+	}
+	clock.Advance(time.Minute)
+	for i := 0; i < 20; i++ {
+		w.ObserveEvidence(id, 25+float64(i%10))
+	}
+	got := w.Drift()[int(id)]
+	if got.LiveCount != 20 || got.LiveMean != 29.5 {
+		t.Errorf("live window = %d samples, mean %v; want 20, 29.5", got.LiveCount, got.LiveMean)
+	}
+	if got.BaselineCount != 40 {
+		t.Errorf("baseline = %d samples, want 40", got.BaselineCount)
+	}
+	// Once the pinned slot is older than the live window, the live
+	// window is the plain trailing lookback again.
+	clock.Advance(10 * time.Minute)
+	w.ObserveEvidence(id, 3)
+	if got := w.Drift()[int(id)]; got.LiveCount != 1 {
+		t.Errorf("live window long after the pin = %d samples, want 1", got.LiveCount)
+	}
+}
+
 func TestDriftWithoutBaselineIsZero(t *testing.T) {
 	clock := newFakeClock(testBase)
 	w := testWindowSet(clock)
