@@ -104,26 +104,3 @@ func TestFrameCountProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMixIntoLengthProperty(t *testing.T) {
-	f := func(baseLen, addLen uint8, offset int8) bool {
-		base := &Signal{Samples: make([]float64, baseLen), Rate: 100}
-		add := &Signal{Samples: make([]float64, addLen), Rate: 100}
-		off := int(offset)
-		if err := base.MixInto(add, off); err != nil {
-			return false
-		}
-		clampedOff := off
-		if clampedOff < 0 {
-			clampedOff = 0
-		}
-		want := int(baseLen)
-		if need := clampedOff + int(addLen); need > want {
-			want = need
-		}
-		return base.Len() == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}

@@ -1,13 +1,10 @@
 // Package audio provides the time-domain signal representation shared by
 // the speech synthesizer, the ranging pipeline and the feature extractors,
 // plus the supporting operations a real capture stack would perform:
-// framing, pre-emphasis, intensity measurement, voice-activity detection,
-// resampling, mixing and WAV serialization.
+// framing, pre-emphasis, intensity measurement and WAV serialization.
 package audio
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"voiceguard/internal/stats"
@@ -48,63 +45,12 @@ func (s *Signal) Clone() *Signal {
 	return out
 }
 
-// Slice returns a new Signal sharing no memory with s, covering samples
-// [from, to). Bounds are clamped to the valid range.
-func (s *Signal) Slice(from, to int) *Signal {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(s.Samples) {
-		to = len(s.Samples)
-	}
-	if from > to {
-		from = to
-	}
-	out := &Signal{Samples: make([]float64, to-from), Rate: s.Rate}
-	copy(out.Samples, s.Samples[from:to])
-	return out
-}
-
 // Scale multiplies every sample by g in place and returns s.
 func (s *Signal) Scale(g float64) *Signal {
 	for i := range s.Samples {
 		s.Samples[i] *= g
 	}
 	return s
-}
-
-// ErrRateMismatch is returned when combining signals with different rates.
-var ErrRateMismatch = errors.New("audio: sample rate mismatch")
-
-// MixInto adds other into s starting at the given sample offset, extending
-// s if needed. It returns an error if the sample rates differ.
-func (s *Signal) MixInto(other *Signal, offset int) error {
-	if !stats.ApproxEqual(s.Rate, other.Rate, stats.Epsilon) {
-		return fmt.Errorf("%w: %v vs %v", ErrRateMismatch, s.Rate, other.Rate)
-	}
-	if offset < 0 {
-		offset = 0
-	}
-	need := offset + len(other.Samples)
-	if need > len(s.Samples) {
-		grown := make([]float64, need)
-		copy(grown, s.Samples)
-		s.Samples = grown
-	}
-	for i, v := range other.Samples {
-		s.Samples[offset+i] += v
-	}
-	return nil
-}
-
-// Append concatenates other after s. It returns an error if the sample
-// rates differ.
-func (s *Signal) Append(other *Signal) error {
-	if !stats.ApproxEqual(s.Rate, other.Rate, stats.Epsilon) {
-		return fmt.Errorf("%w: %v vs %v", ErrRateMismatch, s.Rate, other.Rate)
-	}
-	s.Samples = append(s.Samples, other.Samples...)
-	return nil
 }
 
 // RMS returns the root-mean-square amplitude of the signal.
@@ -143,25 +89,6 @@ func RMS(x []float64) float64 {
 		e += v * v
 	}
 	return math.Sqrt(e / float64(len(x)))
-}
-
-// DBSPLReference is the digital full-scale calibration used to convert RMS
-// amplitude into a nominal dB SPL figure: a full-scale sine (RMS 1/√2) maps
-// to 94 dB, a common microphone calibration point.
-const DBSPLReference = 94.0
-
-// LevelDB converts an RMS amplitude into a nominal sound level in dB
-// relative to the DBSPLReference calibration. Silence maps to -∞ guarded
-// to -120 dB.
-func LevelDB(rms float64) float64 {
-	if rms <= 0 {
-		return -120
-	}
-	db := DBSPLReference + 20*math.Log10(rms*math.Sqrt2)
-	if db < -120 {
-		db = -120
-	}
-	return db
 }
 
 // PreEmphasis applies the standard first-order high-pass y[n] = x[n] -

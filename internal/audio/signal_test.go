@@ -1,7 +1,6 @@
 package audio
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -40,71 +39,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestSliceBounds(t *testing.T) {
-	s := &Signal{Samples: []float64{0, 1, 2, 3, 4}, Rate: 10}
-	tests := []struct {
-		from, to int
-		want     []float64
-	}{
-		{1, 3, []float64{1, 2}},
-		{-5, 2, []float64{0, 1}},
-		{3, 99, []float64{3, 4}},
-		{4, 2, nil},
-	}
-	for _, tt := range tests {
-		got := s.Slice(tt.from, tt.to)
-		if len(got.Samples) != len(tt.want) {
-			t.Errorf("Slice(%d,%d) len = %d, want %d", tt.from, tt.to, len(got.Samples), len(tt.want))
-			continue
-		}
-		for i := range tt.want {
-			if got.Samples[i] != tt.want[i] {
-				t.Errorf("Slice(%d,%d)[%d] = %v, want %v", tt.from, tt.to, i, got.Samples[i], tt.want[i])
-			}
-		}
-	}
-}
-
-func TestMixInto(t *testing.T) {
-	base := &Signal{Samples: []float64{1, 1, 1}, Rate: 100}
-	add := &Signal{Samples: []float64{2, 2}, Rate: 100}
-	if err := base.MixInto(add, 2); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 1, 3, 2}
-	for i := range want {
-		if base.Samples[i] != want[i] {
-			t.Errorf("mixed[%d] = %v, want %v", i, base.Samples[i], want[i])
-		}
-	}
-	other := &Signal{Rate: 200}
-	if err := base.MixInto(other, 0); !errors.Is(err, ErrRateMismatch) {
-		t.Errorf("err = %v, want ErrRateMismatch", err)
-	}
-	// Negative offsets clamp to 0.
-	b2 := &Signal{Samples: []float64{0, 0}, Rate: 100}
-	if err := b2.MixInto(&Signal{Samples: []float64{5}, Rate: 100}, -3); err != nil {
-		t.Fatal(err)
-	}
-	if b2.Samples[0] != 5 {
-		t.Errorf("negative offset mix = %v", b2.Samples)
-	}
-}
-
-func TestAppend(t *testing.T) {
-	a := &Signal{Samples: []float64{1}, Rate: 100}
-	b := &Signal{Samples: []float64{2, 3}, Rate: 100}
-	if err := a.Append(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 3 || a.Samples[2] != 3 {
-		t.Errorf("append = %v", a.Samples)
-	}
-	if err := a.Append(&Signal{Rate: 1}); !errors.Is(err, ErrRateMismatch) {
-		t.Errorf("err = %v, want ErrRateMismatch", err)
-	}
-}
-
 func TestRMSAndPeak(t *testing.T) {
 	s := sine(100, 8000, 1, 1)
 	if got := s.RMS(); math.Abs(got-1/math.Sqrt2) > 1e-3 {
@@ -128,21 +62,6 @@ func TestNormalize(t *testing.T) {
 	z.Normalize(0.9) // must not panic or change
 	if z.Peak() != 0 {
 		t.Error("silent normalize should stay silent")
-	}
-}
-
-func TestLevelDB(t *testing.T) {
-	// Full-scale sine: RMS = 1/√2 → 94 dB by calibration.
-	if got := LevelDB(1 / math.Sqrt2); math.Abs(got-94) > 1e-9 {
-		t.Errorf("full-scale = %v dB, want 94", got)
-	}
-	// Halving amplitude loses ~6.02 dB.
-	d := LevelDB(1/math.Sqrt2) - LevelDB(0.5/math.Sqrt2)
-	if math.Abs(d-6.0206) > 1e-3 {
-		t.Errorf("6 dB step = %v", d)
-	}
-	if LevelDB(0) != -120 {
-		t.Error("silence should clamp to -120")
 	}
 }
 

@@ -389,35 +389,6 @@ func (c *Client) VerifyVoiceprintContext(ctx context.Context, user string, voice
 	}, nil
 }
 
-// get issues a GET to a server debug endpoint and fails on non-200.
-func (c *Client) get(path string) (*http.Response, error) {
-	resp, err := c.httpClient().Get(c.BaseURL + path)
-	if err != nil {
-		return nil, fmt.Errorf("client: fetching %s: %w", path, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		return nil, fmt.Errorf("client: %s returned status %d", path, resp.StatusCode)
-	}
-	return resp, nil
-}
-
-// Trace fetches one decision's full span tree by trace ID. The ID is
-// path-escaped: request IDs are client-chosen strings, and one holding
-// '/', '?', '#' or spaces must not reshape the URL.
-func (c *Client) Trace(traceID string) (*telemetry.TraceRecord, error) {
-	resp, err := c.get("/debug/trace/" + url.PathEscape(traceID))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	rec := &telemetry.TraceRecord{}
-	if err := json.NewDecoder(resp.Body).Decode(rec); err != nil {
-		return nil, fmt.Errorf("client: decoding trace %s: %w", traceID, err)
-	}
-	return rec, nil
-}
-
 // DriftReport fetches the server's /debug/drift document: per-series
 // PSI/KS drift scores against the pinned baseline, SLO burn rates,
 // process resource attribution, and the recent per-minute timeline.

@@ -2,9 +2,7 @@ package client
 
 import (
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"testing"
 
 	"voiceguard/internal/attack"
@@ -107,28 +105,6 @@ func TestVoiceprintServerDown(t *testing.T) {
 	}
 	if err := c.Enroll("u", nil); err == nil {
 		t.Error("expected enrollment transport error")
-	}
-}
-
-// TestTracePathEscapesID: request IDs are client-chosen strings, so one
-// holding '/', '?', '#' or spaces must reach the server as a single
-// escaped path segment instead of reshaping the URL.
-func TestTracePathEscapesID(t *testing.T) {
-	const hostileID = "id with/slash?and#frag"
-	var gotPath string
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotPath = r.URL.EscapedPath()
-		w.Header().Set("Content-Type", "application/json")
-		if _, err := w.Write([]byte(`{"trace_id":"x","spans":[]}`)); err != nil {
-			t.Error(err)
-		}
-	}))
-	t.Cleanup(ts.Close)
-	if _, err := New(ts.URL).Trace(hostileID); err != nil {
-		t.Fatal(err)
-	}
-	if want := "/debug/trace/" + url.PathEscape(hostileID); gotPath != want {
-		t.Errorf("request path = %q, want %q", gotPath, want)
 	}
 }
 

@@ -1,9 +1,8 @@
-// Package device catalogs the hardware of the paper's evaluation: the
-// smartphone testbeds of Table II and the 25 loudspeakers of Table IV
-// (plus the unconventional electrostatic/piezoelectric speakers discussed
-// in §VII). Each loudspeaker entry carries the physical parameters its
-// simulation needs: permanent-magnet dipole moment, voice-coil gain and
-// effective cone radius.
+// Package device catalogs the loudspeakers of the paper's evaluation:
+// the 25 of Table IV, plus the unconventional electrostatic and
+// piezoelectric speakers discussed in §VII. Each entry carries the
+// physical parameters its simulation needs: permanent-magnet dipole
+// moment, voice-coil gain and effective cone radius.
 package device
 
 import (
@@ -11,38 +10,8 @@ import (
 
 	"voiceguard/internal/geometry"
 	"voiceguard/internal/magnetics"
-	"voiceguard/internal/sensors"
 	"voiceguard/internal/soundfield"
 )
-
-// Phone is one smartphone testbed.
-type Phone struct {
-	// Maker and Model identify the device (Table II).
-	Maker, Model string
-	// Magnetometer is the onboard magnetometer spec.
-	Magnetometer sensors.Spec
-	// Accelerometer and Gyroscope are the onboard IMU specs.
-	Accelerometer, Gyroscope sensors.Spec
-	// MaxPilotHz is the highest usable inaudible pilot frequency found by
-	// the calibration procedure the paper cites.
-	MaxPilotHz float64
-}
-
-// Phones returns the paper's smartphone testbeds (Table II).
-func Phones() []Phone {
-	base := Phone{
-		Magnetometer:  sensors.AK8975(),
-		Accelerometer: sensors.PhoneAccelerometer(),
-		Gyroscope:     sensors.PhoneGyroscope(),
-	}
-	nexus5 := base
-	nexus5.Maker, nexus5.Model, nexus5.MaxPilotHz = "Google (LG)", "Nexus 5", 20000
-	nexus4 := base
-	nexus4.Maker, nexus4.Model, nexus4.MaxPilotHz = "Google (LG)", "Nexus 4", 19000
-	galaxy := base
-	galaxy.Maker, galaxy.Model, galaxy.MaxPilotHz = "Samsung", "Galaxy Nexus", 18500
-	return []Phone{nexus5, nexus4, galaxy}
-}
 
 // SpeakerClass groups loudspeakers by form factor.
 type SpeakerClass int

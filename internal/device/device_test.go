@@ -8,34 +8,6 @@ import (
 	"voiceguard/internal/magnetics"
 )
 
-func TestPhonesMatchTableII(t *testing.T) {
-	phones := Phones()
-	if len(phones) != 3 {
-		t.Fatalf("phones = %d, want 3", len(phones))
-	}
-	want := map[string]string{
-		"Nexus 5":      "Google (LG)",
-		"Nexus 4":      "Google (LG)",
-		"Galaxy Nexus": "Samsung",
-	}
-	for _, p := range phones {
-		maker, ok := want[p.Model]
-		if !ok {
-			t.Errorf("unexpected model %q", p.Model)
-			continue
-		}
-		if p.Maker != maker {
-			t.Errorf("%s maker = %q, want %q", p.Model, p.Maker, maker)
-		}
-		if p.Magnetometer.Name != "AK8975" {
-			t.Errorf("%s magnetometer = %q", p.Model, p.Magnetometer.Name)
-		}
-		if p.MaxPilotHz < 16000 {
-			t.Errorf("%s pilot %v below the paper's 16 kHz floor", p.Model, p.MaxPilotHz)
-		}
-	}
-}
-
 func TestCatalogMatchesTableIV(t *testing.T) {
 	cat := Catalog()
 	if len(cat) != 25 {

@@ -27,24 +27,7 @@ func FFT(x []complex128) []complex128 {
 	}
 	out := make([]complex128, n)
 	copy(out, x)
-	fftInPlace(out, false)
-	return out
-}
-
-// IFFT returns the inverse discrete Fourier transform of x, normalized by
-// 1/N so that IFFT(FFT(x)) == x.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	copy(out, x)
-	fftInPlace(out, true)
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
+	fftInPlace(out)
 	return out
 }
 
@@ -55,18 +38,16 @@ func FFTReal(x []float64) []complex128 {
 	for i, v := range x {
 		c[i] = complex(v, 0)
 	}
-	fftInPlace(c, false)
+	fftInPlace(c)
 	return c
 }
 
 // fftInPlace transforms x in place through the cached plan for len(x).
-// inverse selects the conjugate transform (without the 1/N
-// normalization).
-func fftInPlace(x []complex128, inverse bool) {
+func fftInPlace(x []complex128) {
 	if len(x) <= 1 {
 		return
 	}
-	PlanFFT(len(x)).transform(x, inverse)
+	PlanFFT(len(x)).transform(x)
 }
 
 // Magnitudes returns |X_k| for each bin of a spectrum.

@@ -13,6 +13,7 @@ import (
 // butterfly kernel: the swap pass, radix2StagesGeneric, Bluestein over
 // that, and sequential real-input packing with the (m−k) mod m unpack.
 // They are the oracle every dispatched path must match bit for bit.
+// inverse applies to power-of-two plans only.
 
 func refTransform(p *FFTPlan, x []complex128, inverse bool) {
 	n := p.n
@@ -20,7 +21,7 @@ func refTransform(p *FFTPlan, x []complex128, inverse bool) {
 		return
 	}
 	if p.perm == nil {
-		refBluestein(p, x, inverse)
+		refBluestein(p, x)
 		return
 	}
 	for i := 1; i < n; i++ {
@@ -35,11 +36,8 @@ func refTransform(p *FFTPlan, x []complex128, inverse bool) {
 	radix2StagesGeneric(x, tw)
 }
 
-func refBluestein(p *FFTPlan, x []complex128, inverse bool) {
+func refBluestein(p *FFTPlan, x []complex128) {
 	chirp, bfft := p.chirpF, p.bF
-	if inverse {
-		chirp, bfft = p.chirpI, p.bI
-	}
 	a := make([]complex128, p.conv.n)
 	for k := 0; k < p.n; k++ {
 		a[k] = x[k] * chirp[k]
@@ -147,6 +145,8 @@ func checkFFTBits(t *testing.T, x []float64, inverse bool) {
 	t.Helper()
 	n := len(x)
 	p := PlanFFT(n)
+	// Only power-of-two plans run inverse, inside Bluestein's convolution.
+	inverse = inverse && p.perm != nil
 	c := make([]complex128, n)
 	for i := range c {
 		c[i] = complex(x[i], x[n-1-i])
@@ -154,7 +154,11 @@ func checkFFTBits(t *testing.T, x []float64, inverse bool) {
 	want := append([]complex128(nil), c...)
 	refTransform(p, want, inverse)
 	got := append([]complex128(nil), c...)
-	p.transform(got, inverse)
+	if inverse {
+		p.pow2Transform(got, true)
+	} else {
+		p.transform(got)
+	}
 	for k := range want {
 		if !sameBits(real(got[k]), real(want[k])) || !sameBits(imag(got[k]), imag(want[k])) {
 			t.Fatalf("n=%d inverse=%v: bin %d = %v, want %v", n, inverse, k, got[k], want[k])
@@ -259,8 +263,8 @@ func TestFFTKernelMatchesGeneric(t *testing.T) {
 	}
 }
 
-// FuzzFFTMatchesGeneric holds the dispatched transforms (forward,
-// inverse, RealPower and the STFT magnitudes) to the
+// FuzzFFTMatchesGeneric holds the dispatched transforms (forward, the
+// power-of-two inverse, RealPower and the STFT magnitudes) to the
 // portable loops, bit for bit, on fuzzer-chosen sizes n = 2…4096 and
 // raw float64 bit patterns. The same bits, read as a packed spectrum of
 // the largest power-of-two size n' ≤ n, hold the real-input unpack to

@@ -230,7 +230,7 @@ func BenchmarkFFTPlanned1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
-		p.transform(buf, false)
+		p.transform(buf)
 	}
 }
 
@@ -255,7 +255,7 @@ func BenchmarkFFTPlannedBluestein443(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
-		p.transform(buf, false)
+		p.transform(buf)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // path does no trigonometry and no allocation: the bit-reversal
 // permutation, per-stage twiddle-factor tables (forward and inverse), the
 // half-size sub-plan plus unpack twiddles for real-input transforms, the
-// precomputed chirp and chirp-filter spectra for Bluestein (non-power-of-
-// two) sizes, and a sync.Pool of scratch buffers. Plans are immutable
+// precomputed chirp and chirp-filter spectrum for Bluestein (non-power-
+// of-two) sizes, and a sync.Pool of scratch buffers. Plans are immutable
 // after construction and safe for concurrent use; obtain them from
 // PlanFFT, which caches one plan per size for the life of the process.
 type FFTPlan struct {
@@ -30,9 +30,9 @@ type FFTPlan struct {
 	realTw []complex128
 
 	// Bluestein (chirp-z) tables for non-power-of-two sizes.
-	chirpF, chirpI []complex128 // exp(∓iπk²/n)
-	bF, bI         []complex128 // forward FFT of the chirp filter, length conv.n
-	conv           *FFTPlan     // power-of-two convolution plan
+	chirpF []complex128 // exp(-iπk²/n)
+	bF     []complex128 // forward FFT of the chirp filter, length conv.n
+	conv   *FFTPlan     // power-of-two convolution plan
 
 	scratch sync.Pool // *[]complex128 of length n
 }
@@ -106,19 +106,17 @@ func (p *FFTPlan) initPow2() {
 	}
 }
 
-// initBluestein builds the chirp tables and the spectrum of the chirp
-// filter for both transform directions.
+// initBluestein builds the chirp table and the spectrum of the chirp
+// filter.
 func (p *FFTPlan) initBluestein() {
 	n := p.n
 	p.chirpF = make([]complex128, n)
-	p.chirpI = make([]complex128, n)
 	for k := 0; k < n; k++ {
 		// k² mod 2n keeps the chirp angle accurate for large k.
 		kk := (int64(k) * int64(k)) % int64(2*n)
 		ang := math.Pi * float64(kk) / float64(n)
 		s, c := math.Sincos(ang)
 		p.chirpF[k] = complex(c, -s)
-		p.chirpI[k] = complex(c, s)
 	}
 	m := 1
 	for m < 2*n-1 {
@@ -126,7 +124,6 @@ func (p *FFTPlan) initBluestein() {
 	}
 	p.conv = PlanFFT(m)
 	p.bF = chirpFilterSpectrum(p.chirpF, p.conv)
-	p.bI = chirpFilterSpectrum(p.chirpI, p.conv)
 }
 
 // chirpFilterSpectrum returns the forward FFT of the Bluestein chirp
@@ -140,7 +137,7 @@ func chirpFilterSpectrum(chirp []complex128, conv *FFTPlan) []complex128 {
 	for k := 1; k < n; k++ {
 		b[conv.n-k] = cmplx.Conj(chirp[k])
 	}
-	conv.transform(b, false)
+	conv.transform(b)
 	return b
 }
 
@@ -148,21 +145,22 @@ func chirpFilterSpectrum(chirp []complex128, conv *FFTPlan) []complex128 {
 // length does not match the plan size.
 const errPlanSize = "dsp: buffer length %d does not match plan size %d"
 
-// transform runs the in-place transform; inverse selects the conjugate
-// direction without normalization. len(x) must equal p.n.
-func (p *FFTPlan) transform(x []complex128, inverse bool) {
+// transform runs the in-place forward transform. len(x) must equal p.n.
+func (p *FFTPlan) transform(x []complex128) {
 	if p.n <= 1 {
 		return
 	}
 	if p.perm != nil {
-		p.pow2Transform(x, inverse)
+		p.pow2Transform(x, false)
 		return
 	}
-	p.bluesteinTransform(x, inverse)
+	p.bluesteinTransform(x)
 }
 
 // pow2Transform is the table-driven iterative radix-2 transform: the
-// bit-reversal permutation, then the butterfly stages.
+// bit-reversal permutation, then the butterfly stages. inverse selects
+// the conjugate direction without normalization; Bluestein's
+// convolution is its only inverse caller.
 func (p *FFTPlan) pow2Transform(x []complex128, inverse bool) {
 	n := p.n
 	for i := 1; i < n; i++ {
@@ -213,11 +211,8 @@ func radix2StagesGeneric(x, tw []complex128) {
 
 // bluesteinTransform evaluates the arbitrary-length DFT as a power-of-two
 // convolution against the precomputed chirp-filter spectrum.
-func (p *FFTPlan) bluesteinTransform(x []complex128, inverse bool) {
+func (p *FFTPlan) bluesteinTransform(x []complex128) {
 	chirp, bfft := p.chirpF, p.bF
-	if inverse {
-		chirp, bfft = p.chirpI, p.bI
-	}
 	aptr := p.conv.acquire()
 	a := *aptr
 	n := p.n
@@ -227,11 +222,11 @@ func (p *FFTPlan) bluesteinTransform(x []complex128, inverse bool) {
 	for k := n; k < len(a); k++ {
 		a[k] = 0
 	}
-	p.conv.transform(a, false)
+	p.conv.pow2Transform(a, false)
 	for i := range a {
 		a[i] *= bfft[i]
 	}
-	p.conv.transform(a, true)
+	p.conv.pow2Transform(a, true)
 	scale := complex(1/float64(p.conv.n), 0)
 	for k := 0; k < n; k++ {
 		x[k] = a[k] * scale * chirp[k]
@@ -342,7 +337,7 @@ func (p *FFTPlan) RealPower(dst []float64, x []float64) error {
 	for i, v := range x {
 		full[i] = complex(v, 0)
 	}
-	p.transform(full, false)
+	p.transform(full)
 	for k := range dst {
 		re, im := real(full[k]), imag(full[k])
 		dst[k] = re*re + im*im

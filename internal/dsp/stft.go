@@ -155,7 +155,7 @@ func stftComplex(span *telemetry.Span, sp *Spectrogram, x []float64, cfg STFTCon
 			for i := cfg.FrameSize; i < cfg.FFTSize; i++ {
 				buf[i] = 0
 			}
-			plan.transform(buf, false)
+			plan.transform(buf)
 			row := sp.Frames[f]
 			for k := 0; k < nBins; k++ {
 				re, im := real(buf[k]), imag(buf[k])

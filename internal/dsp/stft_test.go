@@ -121,9 +121,6 @@ func TestWindowProperties(t *testing.T) {
 					t.Errorf("coef[%d] = %v out of [0,1]", i, v)
 				}
 			}
-			if g := w.Gain(128); g <= 0 || g > 1+1e-12 {
-				t.Errorf("gain = %v", g)
-			}
 		})
 	}
 	if (Window(99)).String() != "unknown" {
@@ -143,31 +140,14 @@ func TestWindowProperties(t *testing.T) {
 	if math.Abs(c[32]-1) > 1e-12 {
 		t.Errorf("hann[N/2] = %v, want 1", c[32])
 	}
-	// Gain of rect is exactly 1.
-	if g := WindowRect.Gain(77); g != 1 {
-		t.Errorf("rect gain = %v", g)
-	}
-	if g := WindowRect.Gain(0); g != 0 {
-		t.Errorf("rect gain(0) = %v", g)
-	}
-}
-
-func TestWindowApply(t *testing.T) {
-	x := []float64{1, 1, 1, 1}
-	got := WindowHann.Apply(x)
-	want, err := WindowHann.SharedCoefficients(4)
+	// Rect is all ones.
+	c, err = WindowRect.SharedCoefficients(77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("apply[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Input unchanged.
-	for _, v := range x {
+	for i, v := range c {
 		if v != 1 {
-			t.Error("Apply must not modify input")
+			t.Errorf("rect[%d] = %v, want 1", i, v)
 		}
 	}
 }

@@ -56,26 +56,3 @@ func (w Window) at(i, n int) float64 {
 func (w Window) SharedCoefficients(n int) ([]float64, error) {
 	return w.cachedCoefficients(n)
 }
-
-// Apply multiplies x element-wise by the window coefficients and returns a
-// new slice. len(x) determines the window length.
-func (w Window) Apply(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v * w.at(i, len(x))
-	}
-	return out
-}
-
-// Gain returns the coherent gain of the window (mean coefficient value),
-// used to correct spectral magnitudes.
-func (w Window) Gain(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		s += w.at(i, n)
-	}
-	return s / float64(n)
-}

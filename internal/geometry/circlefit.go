@@ -176,45 +176,3 @@ func (c Circle) RMSResidual(pts []Vec2) float64 {
 	}
 	return math.Sqrt(s / float64(len(pts)))
 }
-
-// FitLine fits a total-least-squares line through pts and returns a point
-// on the line and its unit direction. It is used to validate the paper's
-// assumption that the phone's approach trajectory is approximately
-// straight.
-func FitLine(pts []Vec2) (point, dir Vec2, err error) {
-	if len(pts) < 2 {
-		return Vec2{}, Vec2{}, ErrDegenerate
-	}
-	var mx, my float64
-	for _, p := range pts {
-		mx += p.X
-		my += p.Y
-	}
-	n := float64(len(pts))
-	mx /= n
-	my /= n
-	var sxx, sxy, syy float64
-	for _, p := range pts {
-		u := p.X - mx
-		v := p.Y - my
-		sxx += u * u
-		sxy += u * v
-		syy += v * v
-	}
-	if stats.IsZero(sxx + syy) {
-		return Vec2{}, Vec2{}, ErrDegenerate
-	}
-	// Principal eigenvector of the 2×2 scatter matrix.
-	tr := sxx + syy
-	det := sxx*syy - sxy*sxy
-	l := tr/2 + math.Sqrt(tr*tr/4-det)
-	var d Vec2
-	if math.Abs(sxy) > 1e-18 {
-		d = Vec2{l - syy, sxy}
-	} else if sxx >= syy {
-		d = Vec2{1, 0}
-	} else {
-		d = Vec2{0, 1}
-	}
-	return Vec2{mx, my}, d.Normalize(), nil
-}

@@ -137,43 +137,6 @@ func TestRMSResidual(t *testing.T) {
 	}
 }
 
-func TestFitLine(t *testing.T) {
-	// Exact line y = 2x + 1.
-	var pts []Vec2
-	for i := 0; i < 10; i++ {
-		x := float64(i) * 0.3
-		pts = append(pts, Vec2{x, 2*x + 1})
-	}
-	_, dir, err := FitLine(pts)
-	if err != nil {
-		t.Fatalf("FitLine: %v", err)
-	}
-	wantSlope := 2.0
-	if !almostEq(dir.Y/dir.X, wantSlope, 1e-9) {
-		t.Errorf("slope = %v, want %v", dir.Y/dir.X, wantSlope)
-	}
-
-	// Vertical line.
-	pts = pts[:0]
-	for i := 0; i < 5; i++ {
-		pts = append(pts, Vec2{3, float64(i)})
-	}
-	_, dir, err = FitLine(pts)
-	if err != nil {
-		t.Fatalf("FitLine vertical: %v", err)
-	}
-	if math.Abs(dir.X) > 1e-9 {
-		t.Errorf("vertical dir = %v, want (0, ±1)", dir)
-	}
-
-	if _, _, err := FitLine([]Vec2{{1, 1}}); !errors.Is(err, ErrDegenerate) {
-		t.Errorf("single point err = %v, want ErrDegenerate", err)
-	}
-	if _, _, err := FitLine([]Vec2{{1, 1}, {1, 1}, {1, 1}}); !errors.Is(err, ErrDegenerate) {
-		t.Errorf("repeated point err = %v, want ErrDegenerate", err)
-	}
-}
-
 func BenchmarkFitCircle(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pts := circlePoints(Circle{Vec2{0, 0.1}, 0.06}, -0.8, 0.9, 100, 0.002, rng)

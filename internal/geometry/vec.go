@@ -31,12 +31,6 @@ func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
 // unit: s any
 func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
 
-// Dot returns the dot product v·w.
-func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Y*w.Y }
-
-// Cross returns the scalar (z) component of the 2D cross product v×w.
-func (v Vec2) Cross(w Vec2) float64 { return v.X*w.Y - v.Y*w.X }
-
 // Norm returns the Euclidean length of v.
 func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 
@@ -51,13 +45,6 @@ func (v Vec2) Normalize() Vec2 {
 		return v
 	}
 	return v.Scale(1 / n)
-}
-
-// Rotate returns v rotated counterclockwise by theta radians.
-// unit: theta rad
-func (v Vec2) Rotate(theta float64) Vec2 {
-	s, c := math.Sincos(theta)
-	return Vec2{v.X*c - v.Y*s, v.X*s + v.Y*c}
 }
 
 // Angle returns the angle of v in radians in (-π, π].
@@ -85,15 +72,6 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 
 // Dot returns the dot product v·w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
-
-// Cross returns the vector cross product v×w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
 
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }

@@ -144,13 +144,6 @@ func OnAxisDipoleField(moment, r float64) float64 {
 	return 2 * Mu0Over4Pi * moment / (r * r * r)
 }
 
-// MomentForField inverts OnAxisDipoleField: the moment needed to produce
-// field b (µT) on axis at distance r (m).
-// unit: b uT, r m
-func MomentForField(b, r float64) float64 {
-	return b * r * r * r / (2 * Mu0Over4Pi)
-}
-
 // Interference is broadband magnetic noise from electronics: mains-hum
 // harmonics plus filtered white noise, with amplitude falling off with
 // distance from the emitting appliance.

@@ -61,16 +61,6 @@ func TestDipoleSingularityGuard(t *testing.T) {
 	}
 }
 
-func TestMomentForFieldRoundTrip(t *testing.T) {
-	for _, b := range []float64{30, 100, 210} {
-		m := MomentForField(b, 0.04)
-		back := OnAxisDipoleField(m, 0.04)
-		if math.Abs(back-b) > 1e-9*b {
-			t.Errorf("round trip %v -> %v", b, back)
-		}
-	}
-}
-
 func TestVoiceCoilFollowsDrive(t *testing.T) {
 	drive := func(t float64) float64 { return math.Sin(2 * math.Pi * 100 * t) }
 	c := VoiceCoil{Axis: geometry.Vec3{Z: 1}, MomentGain: 0.01, Drive: drive}

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"voiceguard/internal/stats"
 )
 
 // Model holds a fitted PCA transform.
@@ -122,23 +120,6 @@ func (m *Model) ProjectAll(x [][]float64) [][]float64 {
 	out := make([][]float64, len(x))
 	for i, row := range x {
 		out[i] = m.Project(row)
-	}
-	return out
-}
-
-// ExplainedRatio returns the fraction of the retained variance carried by
-// each kept component (sums to 1 over the kept components).
-func (m *Model) ExplainedRatio() []float64 {
-	var total float64
-	for _, v := range m.Explained {
-		total += v
-	}
-	out := make([]float64, len(m.Explained))
-	if stats.IsZero(total) {
-		return out
-	}
-	for i, v := range m.Explained {
-		out[i] = v / total
 	}
 	return out
 }

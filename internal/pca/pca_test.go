@@ -28,17 +28,6 @@ func TestFitRecoversDominantDirection(t *testing.T) {
 	if m.Explained[0] <= m.Explained[1] {
 		t.Error("explained variance not sorted")
 	}
-	ratios := m.ExplainedRatio()
-	if ratios[0] < 0.9 {
-		t.Errorf("dominant ratio = %v", ratios[0])
-	}
-	var sum float64
-	for _, r := range ratios {
-		sum += r
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("ratios sum to %v", sum)
-	}
 }
 
 func TestProjectCentersData(t *testing.T) {
@@ -148,18 +137,4 @@ func TestProjectShortVector(t *testing.T) {
 	}
 	// Short input is zero-padded, not a panic.
 	_ = m.Project([]float64{1})
-}
-
-func TestExplainedRatioZeroVariance(t *testing.T) {
-	x := [][]float64{{1, 1}, {1, 1}, {1, 1}}
-	m, err := Fit(x, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratios := m.ExplainedRatio()
-	for _, r := range ratios {
-		if r != 0 {
-			t.Errorf("zero-variance ratio = %v", r)
-		}
-	}
 }

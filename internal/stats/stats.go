@@ -1,12 +1,11 @@
 // Package stats provides the evaluation machinery of the paper: false
 // acceptance rate (FAR), false rejection rate (FRR), equal error rate
-// (EER), DET curves, and threshold calibration — plus basic descriptive
-// statistics used across the experiment harness.
+// (EER) and its threshold, and DET curves — plus the mean used across
+// the experiment harness.
 package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -112,124 +111,6 @@ func (s *ScoreSet) EER() (eer, threshold float64) {
 	return (best.FAR + best.FRR) / 2, best.Threshold
 }
 
-// ThresholdForFAR returns the smallest threshold whose FAR does not exceed
-// the target.
-func (s *ScoreSet) ThresholdForFAR(target float64) float64 {
-	pts := s.DETCurve()
-	for _, p := range pts {
-		if p.FAR <= target {
-			return p.Threshold
-		}
-	}
-	if len(pts) == 0 {
-		return 0
-	}
-	return pts[len(pts)-1].Threshold
-}
-
-// Confusion counts verification outcomes at a threshold, following the
-// paper's Table III terminology.
-type Confusion struct {
-	CorrectAccept int // genuine accepted
-	FalseReject   int // genuine rejected
-	FalseAccept   int // impostor accepted
-	CorrectReject int // impostor rejected
-}
-
-// Confusion evaluates the score set at a threshold.
-func (s *ScoreSet) Confusion(threshold float64) Confusion {
-	var c Confusion
-	for _, v := range s.Genuine {
-		if v >= threshold {
-			c.CorrectAccept++
-		} else {
-			c.FalseReject++
-		}
-	}
-	for _, v := range s.Impostor {
-		if v >= threshold {
-			c.FalseAccept++
-		} else {
-			c.CorrectReject++
-		}
-	}
-	return c
-}
-
-// Accuracy returns overall decision accuracy.
-func (c Confusion) Accuracy() float64 {
-	total := c.CorrectAccept + c.FalseReject + c.FalseAccept + c.CorrectReject
-	if total == 0 {
-		return 0
-	}
-	return float64(c.CorrectAccept+c.CorrectReject) / float64(total)
-}
-
-// String implements fmt.Stringer.
-func (c Confusion) String() string {
-	return fmt.Sprintf("CA=%d FR=%d FA=%d CR=%d (acc %.1f%%)",
-		c.CorrectAccept, c.FalseReject, c.FalseAccept, c.CorrectReject, 100*c.Accuracy())
-}
-
-// AUC returns the area under the ROC curve: the probability that a random
-// genuine score exceeds a random impostor score (ties count half). 1 is
-// perfect separation, 0.5 is chance.
-func (s *ScoreSet) AUC() float64 {
-	if len(s.Genuine) == 0 || len(s.Impostor) == 0 {
-		return 0.5
-	}
-	// O(n log n) via sorted impostors and binary search.
-	imp := append([]float64(nil), s.Impostor...)
-	sort.Float64s(imp)
-	var sum float64
-	for _, g := range s.Genuine {
-		below := sort.SearchFloat64s(imp, g)                                  // impostors < g
-		upTo := sort.Search(len(imp), func(i int) bool { return imp[i] > g }) // impostors <= g
-		ties := upTo - below
-		sum += float64(below) + float64(ties)/2
-	}
-	return sum / float64(len(s.Genuine)*len(s.Impostor))
-}
-
-// DCFParams parameterizes the NIST detection cost function.
-type DCFParams struct {
-	// CMiss and CFA are the costs of a miss (false rejection) and a
-	// false acceptance.
-	CMiss, CFA float64
-	// PTarget is the prior probability of a genuine trial.
-	PTarget float64
-}
-
-// DefaultDCF returns the classic NIST SRE operating point
-// (CMiss=10, CFA=1, PTarget=0.01).
-func DefaultDCF() DCFParams {
-	return DCFParams{CMiss: 10, CFA: 1, PTarget: 0.01}
-}
-
-// MinDCF returns the minimum normalized detection cost over all
-// thresholds, and the threshold achieving it. The cost is normalized by
-// the best trivial system (accept-all or reject-all).
-func (s *ScoreSet) MinDCF(p DCFParams) (cost, threshold float64) {
-	pts := s.DETCurve()
-	if len(pts) == 0 {
-		return 0, 0
-	}
-	norm := math.Min(p.CMiss*p.PTarget, p.CFA*(1-p.PTarget))
-	if norm <= 0 {
-		return 0, pts[0].Threshold
-	}
-	best := math.Inf(1)
-	var bestTh float64
-	for _, pt := range pts {
-		c := (p.CMiss*pt.FRR*p.PTarget + p.CFA*pt.FAR*(1-p.PTarget)) / norm
-		if c < best {
-			best = c
-			bestTh = pt.Threshold
-		}
-	}
-	return best, bestTh
-}
-
 // ErrEmpty is returned by descriptive statistics on empty input.
 var ErrEmpty = errors.New("stats: empty input")
 
@@ -243,38 +124,4 @@ func Mean(x []float64) (float64, error) {
 		s += v
 	}
 	return s / float64(len(x)), nil
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(x []float64) (float64, error) {
-	m, err := Mean(x)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, v := range x {
-		s += (v - m) * (v - m)
-	}
-	return math.Sqrt(s / float64(len(x))), nil
-}
-
-// Percentile returns the p-th percentile (0–100) using nearest-rank on a
-// copy of x.
-func Percentile(x []float64, p float64) (float64, error) {
-	if len(x) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := append([]float64(nil), x...)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank], nil
 }
