@@ -108,6 +108,16 @@ func TestExplainedMatchesVariance(t *testing.T) {
 	if math.Abs(m.Explained[1]-1) > 0.3 {
 		t.Errorf("second eigenvalue = %v, want ≈1", m.Explained[1])
 	}
+	// Constant data fits and explains no variance.
+	m, err = Fit([][]float64{{1, 1}, {1, 1}, {1, 1}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range m.Explained {
+		if v != 0 {
+			t.Errorf("zero-variance eigenvalue %d = %v, want 0", i, v)
+		}
+	}
 }
 
 func TestFitErrors(t *testing.T) {
