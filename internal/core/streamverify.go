@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"voiceguard/internal/audio"
 	"voiceguard/internal/sensors"
@@ -43,7 +45,31 @@ type StreamVerifier struct {
 	capture          *audio.Signal
 	// captureChunks and voiceChunks hold an open audio channel's chunks
 	// until its last one arrives and offerAudio joins them.
-	captureChunks, voiceChunks [][]float64
+	captureChunks, voiceChunks audioChunks
+	// loan is the block AudioBlock last lent, until an offer takes it
+	// into its channel.
+	loan *audioBlock
+}
+
+// audioBlockSamples is the size of the recycled blocks AudioBlock lends:
+// one default audio chunk (stream.DefAudioChunkSamples), so every chunk
+// a client slicing with the default sizes sends decodes into a block.
+const audioBlockSamples = 8192
+
+// audioBlock is one recycled chunk of audio samples.
+type audioBlock [audioBlockSamples]float64
+
+// audioBlocks recycles the blocks AudioBlock lends, across sessions: a
+// block comes back when offerAudio has copied it into its channel's
+// joined slice. The blocks of a session that ends with its channel
+// still open are left to the collector.
+var audioBlocks = sync.Pool{New: func() any { return new(audioBlock) }}
+
+// audioChunks is an open audio channel's chunks in arrival order, and
+// the recycled blocks among them.
+type audioChunks struct {
+	chunks [][]float64
+	lent   []*audioBlock
 }
 
 // ErrStreamClosed is returned when chunks are offered to a verifier that
@@ -103,6 +129,44 @@ func (v *StreamVerifier) SetMarks(ctx context.Context, sweepStart, sweepEnd floa
 	v.sweepStart, v.sweepEnd = sweepStart, sweepEnd
 	v.e.closed |= chMarks
 	return nil
+}
+
+// GyroRoom returns n slots past the end of the gyroscope trace, for a
+// decoder to fill and pass to OfferGyro, which then appends them in
+// place. AccelRoom, MagRoom and FieldRoom do the same for their
+// channels. The slots are valid until the next call on the verifier.
+func (v *StreamVerifier) GyroRoom(n int) []sensors.Sample { return room(&v.gyro.Samples, n) }
+
+// AccelRoom returns n slots past the end of the accelerometer trace.
+func (v *StreamVerifier) AccelRoom(n int) []sensors.Sample { return room(&v.accel.Samples, n) }
+
+// MagRoom returns n slots past the end of the magnetometer trace.
+func (v *StreamVerifier) MagRoom(n int) []sensors.Sample { return room(&v.mag.Samples, n) }
+
+// FieldRoom returns n slots past the end of the sound-field sweep.
+func (v *StreamVerifier) FieldRoom(n int) []soundfield.Measurement { return room(&v.e.in.Field, n) }
+
+// room grows s's capacity, as appending n elements would, and returns
+// the n slots past its end without extending it. Appending exactly
+// those slots copies each onto itself.
+func room[E any](s *[]E, n int) []E {
+	*s = slices.Grow(*s, n)
+	return (*s)[len(*s) : len(*s)+n]
+}
+
+// AudioBlock lends storage for n samples to decode one audio chunk into
+// before offering it with OfferCapture or OfferVoice. Up to 8192
+// samples, one default chunk, the storage is a recycled block, which the verifier
+// takes back once the channel closes and its chunks are joined; a larger
+// n gets a fresh slice. Storage that is not offered before the next
+// AudioBlock call is dropped, never recycled: the caller keeps nothing
+// it was lent.
+func (v *StreamVerifier) AudioBlock(n int) []float64 {
+	if n == 0 || n > audioBlockSamples {
+		return make([]float64, n)
+	}
+	v.loan = audioBlocks.Get().(*audioBlock) //lint:allow poolescape lent to one chunk's decode; offerAudio takes it back into its channel and returns it at the join
+	return v.loan[:n]
 }
 
 // OfferGyro extends the gyroscope trace; last closes the channel. A
@@ -186,7 +250,9 @@ func (v *StreamVerifier) OfferField(ctx context.Context, points []soundfield.Mea
 // OfferCapture extends the gesture-capture audio channel (the ranging
 // sweep recording); last closes it. Rate must not change mid-channel.
 // The verifier keeps samples, without copying, until the channel closes:
-// the caller must not modify it before then.
+// the caller must not modify it before then. Samples that AudioBlock
+// lent go back to the recycled blocks then; any other slice stays the
+// caller's.
 // unit: rate Hz
 func (v *StreamVerifier) OfferCapture(ctx context.Context, rate float64, samples []float64, last bool) (*Decision, error) {
 	return v.offerAudio(ctx, &v.capture, &v.captureChunks, chCapture, "capture", rate, samples, last)
@@ -201,9 +267,11 @@ func (v *StreamVerifier) OfferVoice(ctx context.Context, rate float64, samples [
 
 // offerAudio queues a chunk on its channel. The last chunk joins the
 // queue into one exactly sized slice, so a channel's audio is copied
-// once however it was chunked; no stage reads it before then.
+// once however it was chunked; no stage reads it before then. The join
+// returns the channel's lent blocks to the pool: it is the one place a
+// block goes back, and only blocks AudioBlock lent are on that list.
 // unit: rate Hz
-func (v *StreamVerifier) offerAudio(ctx context.Context, sig **audio.Signal, chunks *[][]float64, ch channel, name string, rate float64, samples []float64, last bool) (*Decision, error) {
+func (v *StreamVerifier) offerAudio(ctx context.Context, sig **audio.Signal, q *audioChunks, ch channel, name string, rate float64, samples []float64, last bool) (*Decision, error) {
 	open, err := v.e.admit(ctx)
 	if !open || err != nil {
 		return nil, err
@@ -216,18 +284,25 @@ func (v *StreamVerifier) offerAudio(ctx context.Context, sig **audio.Signal, chu
 	} else if (*sig).Rate != rate { //lint:allow floatcmp the wire carries exact float64 bits; any change is a protocol error
 		return nil, v.e.fail(fmt.Errorf("core: %s audio rate changed mid-stream (%v -> %v)", name, (*sig).Rate, rate))
 	}
-	*chunks = append(*chunks, samples)
+	q.chunks = append(q.chunks, samples)
+	if v.loan != nil && len(samples) > 0 && &samples[0] == &v.loan[0] {
+		q.lent = append(q.lent, v.loan)
+		v.loan = nil
+	}
 	if last {
 		n := 0
-		for _, c := range *chunks {
+		for _, c := range q.chunks {
 			n += len(c)
 		}
 		joined := make([]float64, 0, n)
-		for _, c := range *chunks {
+		for _, c := range q.chunks {
 			joined = append(joined, c...)
 		}
 		(*sig).Samples = joined
-		*chunks = nil
+		for _, b := range q.lent {
+			audioBlocks.Put(b)
+		}
+		*q = audioChunks{}
 		v.e.closed |= ch
 	}
 	return v.advance(ctx)

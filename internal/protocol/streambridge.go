@@ -7,6 +7,7 @@ import (
 
 	"voiceguard/internal/audio"
 	"voiceguard/internal/core"
+	"voiceguard/internal/geometry"
 	"voiceguard/internal/sensors"
 	"voiceguard/internal/soundfield"
 	"voiceguard/internal/stream"
@@ -166,9 +167,11 @@ func audioFrames(kind stream.AudioKind, sig *audio.Signal) []stream.Frame {
 // ApplyStreamFrame feeds one client data frame into the incremental
 // evaluator. A non-nil decision is an early REJECT. Nothing it passes on
 // aliases f.Payload, so the caller may reuse the payload buffer as soon
-// as it returns. Finish, decision and
-// error frames are not data: the connection handler owns them (the
-// finish digest check needs the handler's byte-level accumulator).
+// as it returns: sensor and field chunks decode straight onto their
+// channel's trace, and audio chunks into storage the verifier lends
+// (AudioBlock). Finish, decision and error frames are not data: the
+// connection handler owns them (the finish digest check needs the
+// handler's byte-level accumulator).
 func ApplyStreamFrame(ctx context.Context, v *core.StreamVerifier, f stream.Frame) (*core.Decision, error) {
 	last := f.Flags&stream.FlagLast != 0
 	switch f.Type {
@@ -185,51 +188,54 @@ func ApplyStreamFrame(ctx context.Context, v *core.StreamVerifier, f stream.Fram
 		}
 		return nil, v.SetMarks(ctx, m.SweepStart, m.SweepEnd)
 	case stream.TypeSensorChunk:
-		c, err := stream.DecodeSensorChunk(f.Payload)
+		kind, ss, err := stream.ParseSensorChunk(f.Payload)
 		if err != nil {
 			return nil, err
 		}
-		samples := make([]sensors.Sample, len(c.Samples))
-		for i, s := range c.Samples {
-			samples[i] = sensors.Sample{T: s.T}
-			samples[i].V.X = s.X
-			samples[i].V.Y = s.Y
-			samples[i].V.Z = s.Z
-		}
-		switch c.Kind {
+		switch kind {
 		case stream.SensorGyro:
-			return v.OfferGyro(ctx, samples, last)
+			return v.OfferGyro(ctx, decodeSensors(v.GyroRoom(ss.Len()), ss), last)
 		case stream.SensorAccel:
-			return v.OfferAccel(ctx, samples, last)
+			return v.OfferAccel(ctx, decodeSensors(v.AccelRoom(ss.Len()), ss), last)
 		case stream.SensorMag:
-			return v.OfferMag(ctx, samples, last)
+			return v.OfferMag(ctx, decodeSensors(v.MagRoom(ss.Len()), ss), last)
 		default:
-			return nil, fmt.Errorf("protocol: unroutable sensor kind %d", c.Kind)
+			return nil, fmt.Errorf("protocol: unroutable sensor kind %d", kind)
 		}
 	case stream.TypeFieldChunk:
-		c, err := stream.DecodeFieldChunk(f.Payload)
+		pts, err := stream.ParseFieldChunk(f.Payload)
 		if err != nil {
 			return nil, err
 		}
-		points := make([]soundfield.Measurement, len(c.Points))
-		for i, p := range c.Points {
-			points[i] = soundfield.Measurement{AngleDeg: p.AngleDeg, FreqHz: p.FreqHz, LevelDB: p.LevelDB}
+		points := v.FieldRoom(pts.Len())
+		for i := range points {
+			points[i] = soundfield.Measurement(pts.At(i))
 		}
 		return v.OfferField(ctx, points, last)
 	case stream.TypeAudioChunk:
-		c, err := stream.DecodeAudioChunk(f.Payload)
+		c, as, err := stream.ParseAudioChunk(f.Payload)
 		if err != nil {
 			return nil, err
 		}
-		// c.Samples is freshly decoded, never the frame's payload, so the
-		// verifier may keep it until the channel closes.
+		samples := v.AudioBlock(as.Len())
+		as.Into(samples)
 		if c.Kind == stream.AudioCapture {
-			return v.OfferCapture(ctx, c.Rate, c.Samples, last)
+			return v.OfferCapture(ctx, c.Rate, samples, last)
 		}
-		return v.OfferVoice(ctx, c.Rate, c.Samples, last)
+		return v.OfferVoice(ctx, c.Rate, samples, last)
 	default:
 		return nil, fmt.Errorf("protocol: %v frame is not session data", f.Type)
 	}
+}
+
+// decodeSensors decodes a chunk's samples into dst, the room a trace
+// made for them, and returns dst.
+func decodeSensors(dst []sensors.Sample, ss stream.SensorSamples) []sensors.Sample {
+	for i := range dst {
+		s := ss.At(i)
+		dst[i] = sensors.Sample{T: s.T, V: geometry.Vec3{X: s.X, Y: s.Y, Z: s.Z}}
+	}
+	return dst
 }
 
 // StreamDecision wraps a verification response in a decision frame;

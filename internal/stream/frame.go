@@ -187,13 +187,15 @@ func ReadFrame(r io.Reader, maxPayload uint64) (Frame, error) {
 // FrameReader reads a sequence of frames from one byte stream into a
 // payload buffer it reuses. It enforces the payload cap before growing
 // that buffer and verifies each frame's CRC before returning it, exactly
-// as strictly as ReadFrame.
+// as strictly as ReadFrame. Reset points it at the next stream, so one
+// reader and its buffer can serve connection after connection.
 //
 // The Payload of a returned Frame aliases the buffer and is valid only
-// until the next call to Next: a caller must copy out whatever it keeps.
-// The payload decoders in this package do (strings, digests and sample
-// slices never alias their input), so decoding a frame before reading
-// the next one is always safe.
+// until the next call to Next or Reset: a caller must copy out whatever
+// it keeps. The Decode* functions of this package do (strings, digests
+// and sample slices never alias their input), so decoding a frame before
+// reading the next one is always safe; the samples the Parse* functions
+// return alias the payload and share its lifetime.
 type FrameReader struct {
 	r         io.Reader
 	max       uint64
@@ -212,7 +214,25 @@ func NewFrameReader(r io.Reader, maxPayload uint64) *FrameReader {
 	return &FrameReader{r: r, max: maxPayload}
 }
 
-// WireBytes returns the on-wire size of every frame Next has returned.
+// maxKeptPayloadBytes is the largest payload buffer Reset keeps: twice
+// a default audio chunk's payload (65,549 bytes), the largest frame a
+// client slicing with the Def* chunk sizes sends. A reader that grew
+// past it, up to the frame cap, for a larger or hostile frame drops the
+// buffer, so a recycled reader never pins megabytes.
+const maxKeptPayloadBytes = 128 << 10
+
+// Reset makes fr read the frames of r from the start: the wire-byte
+// count returns to 0, the payload cap stays, and the payload buffer is
+// kept for the next frames unless it is larger than maxKeptPayloadBytes.
+func (fr *FrameReader) Reset(r io.Reader) {
+	fr.r, fr.wireBytes = r, 0
+	if cap(fr.buf) > maxKeptPayloadBytes {
+		fr.buf = nil
+	}
+}
+
+// WireBytes returns the on-wire size of every frame Next has returned
+// since the reader was made or last Reset.
 func (fr *FrameReader) WireBytes() int64 { return fr.wireBytes }
 
 // Next reads one frame. Errors wrap the sentinel protocol errors above;

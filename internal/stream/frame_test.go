@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -186,6 +187,29 @@ func TestDecodeRejectsCountMismatch(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsCountThatWrapsInt holds the count check to counts
+// whose byte size wraps a 32-bit int to exactly the bytes present: a
+// check that multiplies count by the element size lets them through on
+// GOARCH=386, and the decoder's make then panics.
+func TestDecodeRejectsCountThatWrapsInt(t *testing.T) {
+	withCount := func(p []byte, off int, count uint32) []byte {
+		binary.LittleEndian.PutUint32(p[off:], count)
+		return p
+	}
+	audio := withCount(EncodeAudioChunk(AudioChunk{Kind: AudioCapture, Rate: 44100, Samples: make([]float64, 4)}), 9, 1<<29+4)
+	if _, err := DecodeAudioChunk(audio); err == nil {
+		t.Error("audio chunk declaring 2^29+4 samples over 32 bytes decoded")
+	}
+	sensor := withCount(EncodeSensorChunk(SensorChunk{Kind: SensorMag, Samples: make([]Sample, 1)}), 1, 1<<27+1)
+	if _, err := DecodeSensorChunk(sensor); err == nil {
+		t.Error("sensor chunk declaring 2^27+1 samples over 32 bytes decoded")
+	}
+	field := withCount(EncodeFieldChunk(FieldChunk{Points: make([]FieldPoint, 1)}), 0, 1<<29+1)
+	if _, err := DecodeFieldChunk(field); err == nil {
+		t.Error("field chunk declaring 2^29+1 points over 24 bytes decoded")
+	}
+}
+
 func TestSessionDigestDetectsReorderAndTamper(t *testing.T) {
 	f1 := Frame{Type: TypeSegmentMarks, Payload: EncodeSegmentMarks(SegmentMarks{SweepStart: 1, SweepEnd: 2})}
 	f2 := Frame{Type: TypeSensorChunk, Flags: FlagLast, Payload: EncodeSensorChunk(SensorChunk{Kind: SensorMag})}
@@ -264,5 +288,57 @@ func TestFrameReaderReusesItsBuffer(t *testing.T) {
 	}
 	if _, err := fr.Next(); !errors.Is(err, io.EOF) {
 		t.Errorf("Next past the last frame = %v, want io.EOF", err)
+	}
+}
+
+// TestFrameReaderResetStartsOver pins what a recycled reader promises
+// the next connection: its wire-byte count, which the listener holds
+// against the session byte budget, starts at 0; its payload buffer is
+// kept, so the next frames allocate nothing; and a buffer grown past
+// maxKeptPayloadBytes by an oversized frame is dropped.
+func TestFrameReaderResetStartsOver(t *testing.T) {
+	wire := func(samples int) []byte {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, Frame{Type: TypeAudioChunk, Payload: EncodeAudioChunk(AudioChunk{
+			Kind: AudioVoice, Rate: 16000, Samples: make([]float64, samples),
+		})}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	small := wire(DefAudioChunkSamples)
+	fr := NewFrameReader(bytes.NewReader(small), 0)
+	if _, err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(nil)
+	allocs := testing.AllocsPerRun(10, func() {
+		r.Reset(small)
+		fr.Reset(r)
+		if _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("reading a default audio chunk after Reset allocates %v times, want 0", allocs)
+	}
+	if got := fr.WireBytes(); got != int64(len(small)) {
+		t.Errorf("WireBytes after Reset and one frame = %d, want %d", got, len(small))
+	}
+
+	big := wire(maxKeptPayloadBytes / 8)
+	fr.Reset(bytes.NewReader(big))
+	if _, err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	fr.Reset(bytes.NewReader(nil))
+	if fr.WireBytes() != 0 {
+		t.Errorf("WireBytes after Reset = %d, want 0", fr.WireBytes())
+	}
+	if cap(fr.buf) != 0 {
+		t.Errorf("Reset kept a %d-byte payload buffer, over the %d-byte limit", cap(fr.buf), maxKeptPayloadBytes)
+	}
+	if _, err := fr.Next(); !errors.Is(err, io.EOF) {
+		t.Errorf("Next on the new, empty stream = %v, want io.EOF", err)
 	}
 }

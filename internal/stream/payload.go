@@ -185,17 +185,6 @@ func (r *payloadReader) f64(field string) (float64, error) {
 	return v, nil
 }
 
-// f64s fills dst with the next len(dst) float64s in one pass. Callers
-// size dst by elems, which has proved that exactly those bytes follow,
-// so no value needs its own bounds check or error.
-func (r *payloadReader) f64s(dst []float64) {
-	b := r.buf[r.off : r.off+8*len(dst)]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	r.off += len(b)
-}
-
 func (r *payloadReader) bytes(field string, n int) ([]byte, error) {
 	if n < 0 || r.off+n > len(r.buf) {
 		return nil, r.fail(field)
@@ -215,14 +204,28 @@ func (r *payloadReader) leftover() error {
 }
 
 // elems validates a declared element count against the bytes actually
-// present, so a hostile count cannot drive a huge allocation.
+// present, so a hostile count cannot drive a huge allocation. The count
+// is compared with the elements present rather than multiplied out: on
+// a 32-bit int, count*elemBytes wraps, and a count of 2^29+4 audio
+// samples would pass as 32 bytes.
 func (r *payloadReader) elems(field string, count uint32, elemBytes int) (int, error) {
-	n := int(count)
-	if remaining := len(r.buf) - r.off; n*elemBytes != remaining {
+	if remaining := len(r.buf) - r.off; remaining%elemBytes != 0 || uint64(count) != uint64(remaining/elemBytes) {
 		return 0, fmt.Errorf("stream: %s payload: %s declares %d elements (%d bytes) but %d bytes follow",
-			r.what, field, n, n*elemBytes, remaining)
+			r.what, field, count, uint64(count)*uint64(elemBytes), remaining)
 	}
-	return n, nil
+	return int(count), nil
+}
+
+// rest returns the payload bytes not yet read and consumes them.
+func (r *payloadReader) rest() []byte {
+	b := r.buf[r.off:]
+	r.off = len(r.buf)
+	return b
+}
+
+// f64At decodes the little-endian float64 at b[off:].
+func f64At(b []byte, off int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -286,37 +289,56 @@ func EncodeSensorChunk(c SensorChunk) []byte {
 	return buf
 }
 
-// DecodeSensorChunk parses a TypeSensorChunk payload.
-func DecodeSensorChunk(p []byte) (SensorChunk, error) {
+// sensorSampleBytes is one sensor sample on the wire: t, x, y, z.
+const sensorSampleBytes = 32
+
+// SensorSamples are a checked sensor chunk's samples still in wire
+// form: they alias the payload, which holds exactly Len of them.
+type SensorSamples struct{ b []byte }
+
+// Len returns the number of samples.
+func (s SensorSamples) Len() int { return len(s.b) / sensorSampleBytes }
+
+// At decodes sample i.
+func (s SensorSamples) At(i int) Sample {
+	v := s.b[sensorSampleBytes*i : sensorSampleBytes*i+sensorSampleBytes]
+	return Sample{T: f64At(v, 0), X: f64At(v, 8), Y: f64At(v, 16), Z: f64At(v, 24)}
+}
+
+// ParseSensorChunk checks a TypeSensorChunk payload and returns its kind
+// and its samples undecoded, so a caller can decode them with At
+// straight into storage of its own. DecodeSensorChunk is this function
+// with a fresh slice as the storage.
+func ParseSensorChunk(p []byte) (SensorKind, SensorSamples, error) {
 	r := &payloadReader{buf: p, what: "sensor_chunk"}
 	kind, err := r.u8("kind")
 	if err != nil {
-		return SensorChunk{}, err
+		return 0, SensorSamples{}, err
 	}
 	if SensorKind(kind) > SensorMag {
-		return SensorChunk{}, fmt.Errorf("stream: sensor_chunk payload: unknown sensor kind %d", kind)
+		return 0, SensorSamples{}, fmt.Errorf("stream: sensor_chunk payload: unknown sensor kind %d", kind)
 	}
 	count, err := r.u32("count")
 	if err != nil {
-		return SensorChunk{}, err
+		return 0, SensorSamples{}, err
 	}
-	n, err := r.elems("count", count, 32)
+	if _, err := r.elems("count", count, sensorSampleBytes); err != nil {
+		return 0, SensorSamples{}, err
+	}
+	return SensorKind(kind), SensorSamples{r.rest()}, nil
+}
+
+// DecodeSensorChunk parses a TypeSensorChunk payload.
+func DecodeSensorChunk(p []byte) (SensorChunk, error) {
+	kind, ss, err := ParseSensorChunk(p)
 	if err != nil {
 		return SensorChunk{}, err
 	}
-	c := SensorChunk{Kind: SensorKind(kind), Samples: make([]Sample, n)}
-	b := r.buf[r.off : r.off+32*n]
+	c := SensorChunk{Kind: kind, Samples: make([]Sample, ss.Len())}
 	for i := range c.Samples {
-		v := b[32*i : 32*i+32]
-		c.Samples[i] = Sample{
-			T: math.Float64frombits(binary.LittleEndian.Uint64(v)),
-			X: math.Float64frombits(binary.LittleEndian.Uint64(v[8:])),
-			Y: math.Float64frombits(binary.LittleEndian.Uint64(v[16:])),
-			Z: math.Float64frombits(binary.LittleEndian.Uint64(v[24:])),
-		}
+		c.Samples[i] = ss.At(i)
 	}
-	r.off += len(b)
-	return c, r.leftover()
+	return c, nil
 }
 
 // EncodeFieldChunk builds a TypeFieldChunk payload.
@@ -330,29 +352,48 @@ func EncodeFieldChunk(c FieldChunk) []byte {
 	return buf
 }
 
-// DecodeFieldChunk parses a TypeFieldChunk payload.
-func DecodeFieldChunk(p []byte) (FieldChunk, error) {
+// fieldPointBytes is one sound-field point on the wire: angle,
+// frequency, level.
+const fieldPointBytes = 24
+
+// FieldPoints are a checked field chunk's points still in wire form:
+// they alias the payload, which holds exactly Len of them.
+type FieldPoints struct{ b []byte }
+
+// Len returns the number of points.
+func (f FieldPoints) Len() int { return len(f.b) / fieldPointBytes }
+
+// At decodes point i.
+func (f FieldPoints) At(i int) FieldPoint {
+	v := f.b[fieldPointBytes*i : fieldPointBytes*i+fieldPointBytes]
+	return FieldPoint{AngleDeg: f64At(v, 0), FreqHz: f64At(v, 8), LevelDB: f64At(v, 16)}
+}
+
+// ParseFieldChunk checks a TypeFieldChunk payload and returns its points
+// undecoded, the way ParseSensorChunk does.
+func ParseFieldChunk(p []byte) (FieldPoints, error) {
 	r := &payloadReader{buf: p, what: "field_chunk"}
 	count, err := r.u32("count")
 	if err != nil {
-		return FieldChunk{}, err
+		return FieldPoints{}, err
 	}
-	n, err := r.elems("count", count, 24)
+	if _, err := r.elems("count", count, fieldPointBytes); err != nil {
+		return FieldPoints{}, err
+	}
+	return FieldPoints{r.rest()}, nil
+}
+
+// DecodeFieldChunk parses a TypeFieldChunk payload.
+func DecodeFieldChunk(p []byte) (FieldChunk, error) {
+	pts, err := ParseFieldChunk(p)
 	if err != nil {
 		return FieldChunk{}, err
 	}
-	c := FieldChunk{Points: make([]FieldPoint, n)}
-	b := r.buf[r.off : r.off+24*n]
+	c := FieldChunk{Points: make([]FieldPoint, pts.Len())}
 	for i := range c.Points {
-		v := b[24*i : 24*i+24]
-		c.Points[i] = FieldPoint{
-			AngleDeg: math.Float64frombits(binary.LittleEndian.Uint64(v)),
-			FreqHz:   math.Float64frombits(binary.LittleEndian.Uint64(v[8:])),
-			LevelDB:  math.Float64frombits(binary.LittleEndian.Uint64(v[16:])),
-		}
+		c.Points[i] = pts.At(i)
 	}
-	r.off += len(b)
-	return c, r.leftover()
+	return c, nil
 }
 
 // EncodeAudioChunk builds a TypeAudioChunk payload.
@@ -366,31 +407,59 @@ func EncodeAudioChunk(c AudioChunk) []byte {
 	return buf
 }
 
-// DecodeAudioChunk parses a TypeAudioChunk payload.
-func DecodeAudioChunk(p []byte) (AudioChunk, error) {
+// AudioSamples are a checked audio chunk's samples still in wire form:
+// they alias the payload, which holds exactly Len of them.
+type AudioSamples struct{ b []byte }
+
+// Len returns the number of samples.
+func (a AudioSamples) Len() int { return len(a.b) / 8 }
+
+// Into decodes the samples into dst, which must have length Len. Every
+// element of dst is written, so whatever dst held before (a recycled
+// block's last chunk) never shows through.
+func (a AudioSamples) Into(dst []float64) {
+	b := a.b[:8*len(dst)]
+	for i := range dst {
+		dst[i] = f64At(b, 8*i)
+	}
+}
+
+// ParseAudioChunk checks a TypeAudioChunk payload and returns its kind
+// and rate, with Samples nil, and its samples undecoded, so a caller can
+// decode them with Into straight into storage of its own.
+// DecodeAudioChunk is this function with a fresh slice as the storage.
+func ParseAudioChunk(p []byte) (AudioChunk, AudioSamples, error) {
 	r := &payloadReader{buf: p, what: "audio_chunk"}
 	kind, err := r.u8("kind")
 	if err != nil {
-		return AudioChunk{}, err
+		return AudioChunk{}, AudioSamples{}, err
 	}
 	if AudioKind(kind) > AudioVoice {
-		return AudioChunk{}, fmt.Errorf("stream: audio_chunk payload: unknown audio kind %d", kind)
+		return AudioChunk{}, AudioSamples{}, fmt.Errorf("stream: audio_chunk payload: unknown audio kind %d", kind)
 	}
 	c := AudioChunk{Kind: AudioKind(kind)}
 	if c.Rate, err = r.f64("rate"); err != nil {
-		return AudioChunk{}, err
+		return AudioChunk{}, AudioSamples{}, err
 	}
 	count, err := r.u32("count")
 	if err != nil {
-		return AudioChunk{}, err
+		return AudioChunk{}, AudioSamples{}, err
 	}
-	n, err := r.elems("count", count, 8)
+	if _, err := r.elems("count", count, 8); err != nil {
+		return AudioChunk{}, AudioSamples{}, err
+	}
+	return c, AudioSamples{r.rest()}, nil
+}
+
+// DecodeAudioChunk parses a TypeAudioChunk payload.
+func DecodeAudioChunk(p []byte) (AudioChunk, error) {
+	c, as, err := ParseAudioChunk(p)
 	if err != nil {
 		return AudioChunk{}, err
 	}
-	c.Samples = make([]float64, n)
-	r.f64s(c.Samples)
-	return c, r.leftover()
+	c.Samples = make([]float64, as.Len())
+	as.Into(c.Samples)
+	return c, nil
 }
 
 // EncodeSegmentMarks builds a TypeSegmentMarks payload.

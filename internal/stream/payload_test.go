@@ -161,8 +161,29 @@ func checkChunkDecoders(p []byte) error {
 	if err := sameDecode(audioBits(a), audioBits(wa), aErr, waErr); err != nil {
 		return fmt.Errorf("audio chunk: %w", err)
 	}
+	// The decode-into path, as the server runs it: into a recycled
+	// block that still holds garbage, here NaNs with payload bits no
+	// decode produces, so a sample Into skips shows as a mismatch.
+	a, as, aErr := ParseAudioChunk(p)
+	if aErr == nil {
+		a.Samples = make([]float64, as.Len())
+		if as.Len() <= len(recycledBlock) {
+			a.Samples = recycledBlock[:as.Len()]
+		}
+		for i := range a.Samples {
+			a.Samples[i] = math.Float64frombits(0x7ff8dead00000000 | uint64(i))
+		}
+		as.Into(a.Samples)
+	}
+	if err := sameDecode(audioBits(a), audioBits(wa), aErr, waErr); err != nil {
+		return fmt.Errorf("audio chunk into a used block: %w", err)
+	}
 	return nil
 }
+
+// recycledBlock stands in for the server's recycled audio blocks: every
+// decode-into check reuses it.
+var recycledBlock [DefAudioChunkSamples]float64
 
 // TestChunkDecodersMatchPerValueReader holds the one-pass array decoders
 // to the per-value reader on well-formed chunks of every size up to a
@@ -197,13 +218,16 @@ func TestChunkDecodersMatchPerValueReader(t *testing.T) {
 	}
 }
 
-// FuzzChunkDecodersMatchPerValueReader holds the one-pass decoders to
-// the per-value reader on arbitrary payloads.
+// FuzzChunkDecodersMatchPerValueReader holds the one-pass decoders, and
+// the audio decode into a used block, to the per-value reader on
+// arbitrary payloads.
 func FuzzChunkDecodersMatchPerValueReader(f *testing.F) {
 	f.Add(EncodeAudioChunk(AudioChunk{Kind: AudioVoice, Rate: 16000, Samples: []float64{0.5, math.NaN(), -0.0}}))
 	f.Add(EncodeSensorChunk(SensorChunk{Kind: SensorMag, Samples: []Sample{{1, 2, 3, 4}}}))
 	f.Add(EncodeFieldChunk(FieldChunk{Points: []FieldPoint{{10, 1000, -3}}}))
 	f.Add(binary.LittleEndian.AppendUint32([]byte{1}, 1<<31))
+	// A count whose byte size wraps a 32-bit int to the 32 bytes present.
+	f.Add(append(binary.LittleEndian.AppendUint32(appendF64([]byte{0}, 44100), 1<<29+4), make([]byte, 32)...))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		if err := checkChunkDecoders(p); err != nil {
 			t.Fatal(err)
